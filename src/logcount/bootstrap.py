@@ -92,28 +92,32 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
     """
     if not l_n > 0:
         raise ConfigError("l_n must be positive")
-    phi = math.exp(-1.0 / l_n)
-    scale = math.sqrt(-math.expm1(-2.0 / l_n))
     eps = rng.standard_normal((1 if size is None else size, n))
-    return _ar1_filter(eps, phi, scale, size)
+    return _ar1_filter(eps, l_n, size)
 
 
-def _ar1_filter(eps: np.ndarray, phi: float, scale: float, size: Optional[int]):
-    v = scale * eps
+def _ar1_filter(eps: np.ndarray, l_n: float, size: Optional[int]):
+    """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n)."""
+    phi = math.exp(-1.0 / l_n)
+    v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
     v[:, 0] = eps[:, 0]  # unit-variance start
     w = lfilter([1.0], [1.0, -phi], v, axis=1)
     return w[0] if size is None else w
+
+
+def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
+    """Trend-weighted, window-centered log counts ``d`` with ``T* = w @ d``."""
+    centered = fit.series_transformed - nn_means(fit.series_transformed, N_n)
+    return trend_weights(fit.n) * centered
 
 
 def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
            size: Optional[int] = None, multiplier_draws: Optional[np.ndarray] = None):
     """Bootstrap statistic(s): weighted, window-centered log counts times
     fresh multiplier paths.  Scalar unless ``size`` is given."""
-    n = fit.n
-    centered = fit.series_transformed - nn_means(fit.series_transformed, cfg.N_n)
-    d = trend_weights(n) * centered
+    d = _summands(fit, cfg.N_n)
     if multiplier_draws is None:
-        w = multipliers(n, cfg.l_n, rng, size=size if size is not None else 1)
+        w = multipliers(fit.n, cfg.l_n, rng, size=size if size is not None else 1)
         if size is None:
             w = w[None, :] if w.ndim == 1 else w
     else:
@@ -125,22 +129,15 @@ def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
 def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
     """Exact conditional variance of the bootstrap statistic.
 
-    Quadratic form ``sum_{s,t} d_s d_t exp(-|s-t|/l_n)`` evaluated by lags;
-    the simulation path mirrors it only up to Monte Carlo error, so this is
-    the diagnostic of choice for variance-matching checks.
+    Quadratic form ``d' Sigma d`` with ``Sigma_st = exp(-|s-t|/l_n)``.  With
+    ``phi = exp(-1/l_n)`` the causal filter ``f_t = sum_{s<=t} phi^(t-s) d_s``
+    holds the diagonal and the lower triangle, so ``d' Sigma d = 2 d.f - d.d``
+    in O(n).  The simulation path mirrors it only up to Monte Carlo error, so
+    this is the diagnostic of choice for variance-matching checks.
     """
-    n = fit.n
-    centered = fit.series_transformed - nn_means(fit.series_transformed, cfg.N_n)
-    d = trend_weights(n) * centered
-    total = float(d @ d)
-    h = 1
-    while h < n:
-        rho = math.exp(-h / cfg.l_n)
-        if rho < 1e-17:
-            break
-        total += 2.0 * rho * float(d[:-h] @ d[h:])
-        h += 1
-    return total
+    d = _summands(fit, cfg.N_n)
+    f = lfilter([1.0], [1.0, -math.exp(-1.0 / cfg.l_n)], d)
+    return float(2.0 * (d @ f) - d @ d)
 
 
 def _u_star(draws: np.ndarray, alpha: float) -> float:
@@ -203,7 +200,6 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
     (per N_n) differ.  This keeps the per-alpha intervals nested exactly.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
-    weights = trend_weights(n)
     for i in range(lo, hi):
         _, xs = simulate_replicate_block(params, n, master_seed, i, i + 1)
         fit = theta_hat(xs[0, 1:])
@@ -212,12 +208,9 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
         d_by_nn: dict[int, np.ndarray] = {}
         for ci, (l_n, N_n) in enumerate(cells):
             if l_n not in w_by_ln:
-                phi = math.exp(-1.0 / l_n)
-                scale = math.sqrt(-math.expm1(-2.0 / l_n))
-                w_by_ln[l_n] = _ar1_filter(eps, phi, scale, size=B)
+                w_by_ln[l_n] = _ar1_filter(eps, l_n, size=B)
             if N_n not in d_by_nn:
-                centered = fit.series_transformed - nn_means(fit.series_transformed, N_n)
-                d_by_nn[N_n] = weights * centered
+                d_by_nn[N_n] = _summands(fit, N_n)
             draws = w_by_ln[l_n] @ d_by_nn[N_n]
             for ai, alpha in enumerate(alphas):
                 ci_obj = _interval_from_draws(fit, draws, alpha)

@@ -25,8 +25,8 @@ from .bootstrap import BootstrapConfig, confidence_interval, coverage_experiment
 from .coupling import estimate_beta
 from .errors import ConfigError, DataError, NumericError
 from .estimation import asymptotic_sigma2, t_statistic, theta_bar_mc, theta_hat
-from .innovations import compute_constants, innovation_from_json, innovation_to_json, tv_bound_check
-from .process import ExogenousSpec, ModelParams, simulate, validate
+from .innovations import compute_constants, innovation_from_json, tv_bound_check
+from .process import ExogenousSpec, ModelParams, simulate
 
 SCHEMA = "logcount/v1"
 
@@ -81,22 +81,6 @@ def _model_from_config(obj) -> ModelParams:
     )
 
 
-def _model_to_json(params: ModelParams) -> dict:
-    out = {
-        "a": params.a, "b": params.b, "c": params.c, "sigma0": params.sigma0,
-        "innovation": innovation_to_json(params.innovation),
-    }
-    if params.exogenous.kind != "trend":
-        out["exogenous"] = {
-            "kind": params.exogenous.kind,
-            "family": params.exogenous.family,
-            "mean": params.exogenous.mean,
-            "sd": params.exogenous.sd,
-            "half_width": params.exogenous.half_width,
-        }
-    return out
-
-
 def _canonical(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
@@ -112,6 +96,8 @@ def _seed_of(args, cfg: dict) -> int:
 
 def _fmt(v) -> str:
     """Shortest round-trip formatting; integral floats print as integers."""
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
@@ -293,7 +279,7 @@ def cmd_mc_boxplot(args) -> int:
                           threads=args.threads)
         thetas = ensemble_theta_hats(params, n, replicates, _rng.derive_seed(seed, _rng.NS_SIM, ni),
                                      threads=args.threads)
-        q1, med, q3 = np.percentile(thetas, [25, 50, 75])
+        q1, med, q3 = (float(q) for q in np.percentile(thetas, [25, 50, 75]))
         lo_wh = float(thetas[thetas >= q1 - 1.5 * (q3 - q1)].min())
         hi_wh = float(thetas[thetas <= q3 + 1.5 * (q3 - q1)].max())
         summary[n] = (tb.theta_bar, q1, med, q3, lo_wh, hi_wh)

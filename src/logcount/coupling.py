@@ -3,7 +3,10 @@
 Two counts with the same innovation but different scales can be drawn from a
 single uniform so that (a) each has its exact marginal law, (b) they coincide
 with probability ``1 - d_TV`` (the maximum possible), and (c) the larger
-scale never produces the smaller count.  Running two feedback chains with
+scale never produces the smaller count.  Every coupled draw, single or inside
+a chain experiment, goes through the CDF bisection of ``_scaled_coupled``;
+the explicit pmf-table construction ``_dense_coupled`` is kept only as the
+exact oracle the tests compare it against.  Running two feedback chains with
 independent pasts and coupling them from a cut-off time onward turns the
 fraction of replicates whose counts ever differ after a gap into a Monte
 Carlo upper bound on the mixing coefficient, which can then be compared to
@@ -11,18 +14,16 @@ the analytic geometric bound.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError, NumericError
-from .innovations import DENSE_MAX, DiscretizedLaw, compute_constants
-from .process import LOG_SIGMA_LIMIT, ModelParams, theorem1_bound, validate
-from .errors import ExplosionError
+from .innovations import DENSE_MAX, DiscretizedLaw, _discrete_quantile
+from .process import (ModelParams, _evolve, _exo_term, _next_sigma, _theorem1_brace,
+                      theorem1_bound, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +32,10 @@ from .errors import ExplosionError
 
 def _dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
                    tail: float = 1e-12):
-    """Reference construction from explicit pmf tables.
+    """Reference construction from explicit pmf tables; the tests' oracle.
 
+    No program path calls it: ``coupled_draw`` and the chain experiments use
+    ``_scaled_coupled``, which the tests check against this construction.
     The uniform is split at the overlap mass: below it both outputs are the
     quantile of the normalized overlap ``min(p, q)``; above it each output is
     the quantile of its normalized residual at the same level, which keeps
@@ -71,23 +74,21 @@ def _dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray
     return x, xp, merged
 
 
-def _discrete_quantile(base, sigma, u):
-    """Smallest k with base.cdf((k+1)/sigma) >= u."""
-    return np.maximum(np.ceil(sigma * base.quantile(u) - 1.0), 0.0)
-
-
 def _first_true(lo: np.ndarray, hi: np.ndarray, pred):
     """Vectorized binary search: smallest k in [lo, hi] with pred(k) true.
 
     ``pred`` must be monotone (false below some threshold, true at hi).
+    Above 2**53 not every integer is a float: the midpoint is kept below
+    ``hi`` and ``lo`` advances to at least the next float, so each open
+    bracket shrinks on every pass and the search ends on a representable k.
     """
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
-    while np.any(lo < hi):
-        mid = np.floor((lo + hi) / 2.0)
+    while np.any(open_ := lo < hi):
+        mid = np.minimum(np.floor((lo + hi) / 2.0), np.nextafter(hi, 0.0))
         t = pred(mid)
-        lo = np.where(t, lo, mid + 1.0)
-        hi = np.where(t, mid, hi)
+        lo = np.where(open_ & ~t, np.maximum(mid + 1.0, np.nextafter(mid, np.inf)), lo)
+        hi = np.where(open_ & t, mid, hi)
     return lo
 
 
@@ -168,22 +169,16 @@ def coupled_draw(law: DiscretizedLaw, law_prime: DiscretizedLaw,
     """Draw (X, X', merged) from the ordered maximal coupling.
 
     Marginals are exact, ``P(X = X') = 1 - d_TV``, and the draw of the law
-    with the larger scale is almost surely the larger count.  Scalar unless
-    ``size`` is given.
+    with the larger scale is almost surely the larger count.  Every draw goes
+    through the CDF bisection of ``_scaled_coupled``, whatever the scales or
+    the tail.  Scalar unless ``size`` is given.
     """
     if law.base != law_prime.base:
         raise ConfigError("coupled_draw requires both laws to share the innovation spec")
     u = rng.random(1 if size is None else size)
-    big = max(law.support_bound(), law_prime.support_bound())
-    if big <= 200_000:
-        x, xp, merged = _dense_coupled(law, law_prime, u)
-    else:
-        x, xp, merged = _scaled_coupled(
-            law.base,
-            np.full(u.shape, law.sigma),
-            np.full(u.shape, law_prime.sigma),
-            u,
-        )
+    x, xp, merged = _scaled_coupled(
+        law.base, np.full(u.shape, law.sigma), np.full(u.shape, law_prime.sigma), u
+    )
     if size is None:
         return float(x[0]), float(xp[0]), bool(merged[0])
     return x, xp, merged
@@ -243,30 +238,6 @@ class CouplingExperimentResult:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def _evolve_pair_independent(params: ModelParams, k: int, u_y: np.ndarray,
-                             u_c: Optional[np.ndarray]):
-    """One chain through times 0..k (vectorized over replicates)."""
-    base = params.innovation
-    sigma = np.full(u_y.shape[0], float(params.sigma0))
-    x = np.floor(sigma * base.quantile(u_y[:, 0]))
-    sig_hist = [sigma.copy()]
-    x_hist = [x.copy()]
-    for t in range(1, k + 1):
-        if params.exogenous.kind == "trend":
-            c_t = params.c * math.log(t)
-        else:
-            c_t = params.exogenous.quantile(u_c[:, t - 1])
-        log_sigma = params.a * np.log(sigma) + params.b * np.log1p(x) + c_t
-        bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
-        if np.any(bad):
-            raise ExplosionError(t, float(log_sigma[np.argmax(bad)]))
-        sigma = np.exp(log_sigma)
-        x = np.floor(sigma * base.quantile(u_y[:, t]))
-        sig_hist.append(sigma.copy())
-        x_hist.append(x.copy())
-    return np.stack(sig_hist, axis=1), np.stack(x_hist, axis=1)
-
-
 def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed: int,
                          lo: int, hi: int, keep_paths: bool = False):
     """Replicates lo..hi-1 of the pair experiment.
@@ -292,31 +263,19 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     else:
         uca = ucb = ucs = None
 
-    base = params.innovation
-    sig_a_hist, x_a_hist = _evolve_pair_independent(params, k, ua, uca)
-    sig_b_hist, x_b_hist = _evolve_pair_independent(params, k, ub, ucb)
-    sigma_a = sig_a_hist[:, -1].copy()
-    sigma_b = sig_b_hist[:, -1].copy()
-    x_a = x_a_hist[:, -1].copy()
-    x_b = x_b_hist[:, -1].copy()
+    sig_a_hist, x_a_hist, _, _ = _evolve(params, k, ua, uca)
+    sig_b_hist, x_b_hist, _, _ = _evolve(params, k, ub, ucb)
+    sigma_a, sigma_b = sig_a_hist[:, -1], sig_b_hist[:, -1]
+    x_a, x_b = x_a_hist[:, -1], x_b_hist[:, -1]
 
     merged = np.empty((R, horizon), dtype=bool)
     paths = {"sa": [], "sb": [], "xa": [], "xb": []} if keep_paths else None
     for j in range(horizon):
         t = k + 1 + j
-        if iid:
-            c_t = params.exogenous.quantile(ucs[:, j])  # shared across the pair
-        else:
-            c_t = params.c * math.log(t)
-        la = params.a * np.log(sigma_a) + params.b * np.log1p(x_a) + c_t
-        lb = params.a * np.log(sigma_b) + params.b * np.log1p(x_b) + c_t
-        for arr in (la, lb):
-            bad = np.abs(arr) > LOG_SIGMA_LIMIT
-            if np.any(bad):
-                raise ExplosionError(t, float(arr[np.argmax(bad)]))
-        sigma_a = np.exp(la)
-        sigma_b = np.exp(lb)
-        x_a, x_b, m = _scaled_coupled(base, sigma_a, sigma_b, uc[:, j])
+        c_t = _exo_term(params, t, ucs[:, j] if iid else None)  # shared across the pair
+        sigma_a = _next_sigma(params, t, sigma_a, x_a, c_t)
+        sigma_b = _next_sigma(params, t, sigma_b, x_b, c_t)
+        x_a, x_b, m = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
         merged[:, j] = m
         if keep_paths:
             paths["sa"].append(sigma_a.copy())
@@ -387,10 +346,7 @@ def estimate_beta(params: ModelParams, k: int, n_grid, truncation: int,
     # of the post-merge log-scale gap: factor a per silent step
     contraction = params.a + params.b * consts.gamma
     tail_factor = params.a ** (truncation + 1) / (1.0 - params.a) if params.a > 0 else 0.0
-    brace = 2.0 * abs(math.log(params.sigma0)) + (
-        2.0 * params.b * (consts.p_sup + consts.e_ln_plus)
-        + 2.0 * params.exogenous.mean_abs_dev
-    ) / (1.0 - params.a - params.b)
+    brace = _theorem1_brace(params, consts)
     trunc = consts.big_gamma * tail_factor * brace * contraction ** n_grid.astype(float)
     return CouplingExperimentResult(
         k=k,

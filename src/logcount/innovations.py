@@ -476,8 +476,7 @@ class DiscretizedLaw:
 
     def quantile(self, u):
         """Smallest k with CDF(k) >= u."""
-        q = self.sigma * self.base.quantile(u)
-        return np.maximum(np.ceil(q - 1.0), 0.0)
+        return _discrete_quantile(self.base, self.sigma, u)
 
     def sample(self, rng: np.random.Generator, size=None):
         u = rng.random() if size is None else rng.random(size)
@@ -491,6 +490,11 @@ class DiscretizedLaw:
     def table(self, tail: float = TAIL):
         """(k grid, pmf values, cumulative values) up to the tail bound."""
         return _law_table(self.base, float(self.sigma), float(tail))
+
+
+def _discrete_quantile(base: InnovationSpec, sigma, u):
+    """Smallest k with ``base.cdf((k+1)/sigma) >= u``; ``sigma`` may be an array."""
+    return np.maximum(np.ceil(sigma * base.quantile(u) - 1.0), 0.0)
 
 
 @lru_cache(maxsize=64)

@@ -148,10 +148,20 @@ class Trajectory:
         return self.x[1:]
 
 
-def _exo_term(params: ModelParams, t: int, u_c=None):
+def _exo_term(params: ModelParams, t: int, u_c):
+    """Exogenous term C_{t-1} entering ln(sigma_t); ``u_c`` drives the iid kind."""
     if params.exogenous.kind == "trend":
         return params.c * math.log(t)
     return params.exogenous.quantile(u_c)
+
+
+def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
+    """sigma_t of the recursion (scalar or per replicate); ExplosionError past the limit."""
+    log_sigma = params.a * np.log(sigma_prev) + params.b * np.log1p(x_prev) + c_t
+    bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
+    if np.any(bad):
+        raise ExplosionError(t, float(np.ravel(log_sigma)[np.argmax(bad)]))
+    return np.exp(log_sigma)
 
 
 def step(sigma_prev: float, x_prev: float, t: int, params: ModelParams,
@@ -163,14 +173,9 @@ def step(sigma_prev: float, x_prev: float, t: int, params: ModelParams,
     """
     if not sigma_prev > 0:
         raise ConfigError(f"sigma_prev must be positive, got {sigma_prev}")
-    if params.exogenous.kind == "iid":
-        c_val = float(params.exogenous.quantile(rng.random()))
-    else:
-        c_val = params.c * math.log(t)
-    log_sigma = params.a * math.log(sigma_prev) + params.b * math.log1p(x_prev) + c_val
-    if abs(log_sigma) > LOG_SIGMA_LIMIT:
-        raise ExplosionError(t, log_sigma)
-    sigma_t = math.exp(log_sigma)
+    u_c = rng.random() if params.exogenous.kind == "iid" else None
+    c_val = float(_exo_term(params, t, u_c))
+    sigma_t = float(_next_sigma(params, t, sigma_prev, x_prev, c_val))
     y_t = float(params.innovation.quantile(rng.random()))
     x_t = math.floor(sigma_t * y_t)
     return sigma_t, x_t, c_val, y_t
@@ -192,19 +197,9 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     sig[:, 0] = params.sigma0
     ys[:, 0] = base.quantile(u_y[:, 0])
     xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
-    a, b = params.a, params.b
-    trend = params.exogenous.kind == "trend"
     for t in range(1, n + 1):
-        if trend:
-            c_t = params.c * math.log(t)
-        else:
-            c_t = params.exogenous.quantile(u_c[:, t - 1])
-        log_sigma = a * np.log(sig[:, t - 1]) + b * np.log1p(xs[:, t - 1]) + c_t
-        bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ExplosionError(t, float(log_sigma[i]))
-        sig[:, t] = np.exp(log_sigma)
+        c_t = _exo_term(params, t, None if u_c is None else u_c[:, t - 1])
+        sig[:, t] = _next_sigma(params, t, sig[:, t - 1], xs[:, t - 1], c_t)
         ys[:, t] = base.quantile(u_y[:, t])
         xs[:, t] = np.floor(sig[:, t] * ys[:, t])
         cs[:, t] = c_t
@@ -257,10 +252,14 @@ def theorem1_bound(params: ModelParams, n: int,
     """
     k = constants if constants is not None else validate(params)
     lead = (params.a + params.b * k.gamma) ** n
-    brace = 2.0 * abs(math.log(params.sigma0)) + (
+    return lead * k.big_gamma / (1.0 - params.a) * _theorem1_brace(params, k)
+
+
+def _theorem1_brace(params: ModelParams, k: DistributionConstants) -> float:
+    """The brace ``2|ln sigma0| + (2b(p_sup + E ln+ Y) + 2M) / (1-a-b)`` of Theorem 1."""
+    return 2.0 * abs(math.log(params.sigma0)) + (
         2.0 * params.b * (k.p_sup + k.e_ln_plus) + 2.0 * params.exogenous.mean_abs_dev
     ) / (1.0 - params.a - params.b)
-    return lead * k.big_gamma / (1.0 - params.a) * brace
 
 
 def theoretical_autocovariance(params: ModelParams, u: int,

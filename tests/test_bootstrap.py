@@ -101,6 +101,18 @@ def test_t_star_simulation_matches_exact_variance():
     assert draws.var(ddof=1) == pytest.approx(exact, rel=5 * rel_se)
 
 
+def test_t_star_variance_equals_dense_quadratic_form():
+    # the O(n) filter form against d' Sigma d with Sigma_st = exp(-|s-t|/l_n)
+    for n, l_n, N_n in ((300, 7.5, 20), (301, 40.0, 5), (299, 0.3, 1)):
+        fit = lc.theta_hat(lc.simulate(PARAMS, n, n).counts())
+        cfg = lc.BootstrapConfig(l_n=l_n, N_n=N_n, B=10, alpha=0.1)
+        x = fit.series_transformed
+        d = lc.trend_weights(n) * (x - lc.nn_means(x, N_n))
+        t = np.arange(n)
+        sigma = np.exp(-np.abs(t[:, None] - t[None, :]) / l_n)
+        assert lc.t_star_variance(fit, cfg) == pytest.approx(d @ sigma @ d, rel=1e-12)
+
+
 def test_conditional_variance_tracks_asymptotic_sigma2():
     # average exact bootstrap variance over replicates against the limit
     consts = lc.validate(PARAMS)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import logcount as lc
-from logcount.coupling import _dense_coupled, _scaled_coupled
+from logcount.coupling import _dense_coupled, _first_true, _scaled_coupled
 from logcount.errors import ConfigError
 
 EXP = lc.Exponential(1.0)
@@ -106,6 +106,24 @@ def test_fast_path_equals_dense_reference_heavy_tail():
     assert np.array_equal(xd, xs)
     assert np.array_equal(xpd, xps)
     assert np.array_equal(md, ms)
+
+
+def test_first_true_terminates_above_2_pow_53():
+    # between 2**53 and 2**54 only even integers are floats: in the first
+    # bracket mid + 1 rounds back to lo, in the second the tied midpoint
+    # rounds up to hi; the predicate aborts a search that does not end
+    big = 2.0**53
+    lo = np.array([big, big + 2, 0.0])
+    hi = np.array([big + 2, big + 4, 10.0])
+    first = np.array([big + 2, big + 4, 3.0])
+    calls = []
+
+    def pred(k):
+        calls.append(1)
+        assert len(calls) < 200, "bisection does not terminate"
+        return k >= first
+
+    assert np.array_equal(_first_true(lo, hi, pred), first)
 
 
 def test_marginals_pass_gof_both_coordinates():

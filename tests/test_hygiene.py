@@ -1,0 +1,58 @@
+"""Static checks on the package source with the standard library's ``ast``.
+
+They stand in for a linter: an import nothing uses and a private helper
+nothing calls are both dead code.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "logcount"
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(tree):
+    """Every identifier a module loads, reads as an attribute or imports by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unused_module_imports():
+    findings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        findings.append(f"{path.stem}.{bound}")
+    assert findings == [], f"unused imports: {findings}"
+
+
+def test_no_unreferenced_private_definitions():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    used = set().union(*(referenced_names(parse(path)) for path in files))
+    findings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in used):
+                findings.append(f"{path.stem}.{node.name}")
+    assert findings == [], f"private definitions nothing references: {findings}"
