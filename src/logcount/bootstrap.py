@@ -92,17 +92,16 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
     """
     if not l_n > 0:
         raise ConfigError("l_n must be positive")
-    eps = rng.standard_normal((1 if size is None else size, n))
-    return _ar1_filter(eps, l_n, size)
+    w = _ar1_filter(rng.standard_normal((1 if size is None else size, n)), l_n)
+    return w[0] if size is None else w
 
 
-def _ar1_filter(eps: np.ndarray, l_n: float, size: Optional[int]):
+def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
     """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n)."""
     phi = math.exp(-1.0 / l_n)
     v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
     v[:, 0] = eps[:, 0]  # unit-variance start
-    w = lfilter([1.0], [1.0, -phi], v, axis=1)
-    return w[0] if size is None else w
+    return lfilter([1.0], [1.0, -phi], v, axis=1)
 
 
 def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
@@ -118,8 +117,6 @@ def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
     d = _summands(fit, cfg.N_n)
     if multiplier_draws is None:
         w = multipliers(fit.n, cfg.l_n, rng, size=size if size is not None else 1)
-        if size is None:
-            w = w[None, :] if w.ndim == 1 else w
     else:
         w = np.atleast_2d(np.asarray(multiplier_draws, dtype=float))
     vals = w @ d
@@ -200,15 +197,15 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
     (per N_n) differ.  This keeps the per-alpha intervals nested exactly.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
+    _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
     for i in range(lo, hi):
-        _, xs = simulate_replicate_block(params, n, master_seed, i, i + 1)
-        fit = theta_hat(xs[0, 1:])
+        fit = theta_hat(xs[i - lo, 1:])
         eps = _rng.stream(master_seed, _rng.NS_BOOT, i).standard_normal((B, n))
         w_by_ln: dict[float, np.ndarray] = {}
         d_by_nn: dict[int, np.ndarray] = {}
         for ci, (l_n, N_n) in enumerate(cells):
             if l_n not in w_by_ln:
-                w_by_ln[l_n] = _ar1_filter(eps, l_n, size=B)
+                w_by_ln[l_n] = _ar1_filter(eps, l_n)
             if N_n not in d_by_nn:
                 d_by_nn[N_n] = _summands(fit, N_n)
             draws = w_by_ln[l_n] @ d_by_nn[N_n]
@@ -230,6 +227,11 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     independent replicates unless supplied.  One row per (l_n, N_n, alpha).
     """
     validate(params)
+    if mc_loops < 1:
+        raise ConfigError("mc_loops must be >= 1")
+    for l_n, N_n in cells:  # each (cell, alpha) must be a valid bootstrap tuning
+        for alpha in alphas:
+            BootstrapConfig(l_n=l_n, N_n=N_n, B=B, alpha=alpha)
     if theta_bar is None:
         t_seed = _rng.derive_seed(master_seed, _rng.NS_TARGET)
         theta_bar = theta_bar_mc(params, n, theta_bar_loops, t_seed, threads).theta_bar

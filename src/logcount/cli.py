@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -24,7 +25,8 @@ from . import __version__, rng as _rng
 from .bootstrap import BootstrapConfig, confidence_interval, coverage_experiment
 from .coupling import estimate_beta
 from .errors import ConfigError, DataError, NumericError
-from .estimation import asymptotic_sigma2, t_statistic, theta_bar_mc, theta_hat
+from .estimation import (asymptotic_sigma2, ensemble_theta_hats, t_statistic, theta_bar_mc,
+                         theta_hat)
 from .innovations import compute_constants, innovation_from_json, tv_bound_check
 from .process import ExogenousSpec, ModelParams, simulate
 
@@ -41,9 +43,9 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -63,6 +65,16 @@ def _require_keys(cfg: dict, required: set[str], optional: set[str], where: str)
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _cast(convert, value, what: str):
+    """``convert(value)`` for a config value; a failed conversion is a ConfigError."""
+    try:
+        return convert(value)
+    except ConfigError:  # a ValueError too; keep the constructor's own message
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"invalid {what}: {value!r}") from None
+
+
 def _model_from_config(obj) -> ModelParams:
     if not isinstance(obj, dict):
         raise ConfigError("'model' must be an object")
@@ -70,19 +82,22 @@ def _model_from_config(obj) -> ModelParams:
     exo = obj.get("exogenous", {"kind": "trend"})
     if not isinstance(exo, dict) or "kind" not in exo:
         raise ConfigError("'exogenous' must be an object with a 'kind' key")
-    exo_spec = ExogenousSpec(**exo)
+    exo_spec = _cast(lambda e: ExogenousSpec(**{k: v if k in ("kind", "family") else float(v)
+                                                for k, v in e.items()}), exo, "'exogenous'")
     return ModelParams(
-        a=float(obj["a"]),
-        b=float(obj["b"]),
-        c=float(obj["c"]),
+        a=_cast(float, obj["a"], "model 'a'"),
+        b=_cast(float, obj["b"], "model 'b'"),
+        c=_cast(float, obj["c"], "model 'c'"),
         innovation=innovation_from_json(obj["innovation"]),
-        sigma0=float(obj.get("sigma0", 1.0)),
+        sigma0=_cast(float, obj.get("sigma0", 1.0), "model 'sigma0'"),
         exogenous=exo_spec,
     )
 
 
-def _canonical(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+def _config_digest(cfg: dict) -> tuple[str, str]:
+    """Canonical JSON of a config and its SHA-256 hex digest."""
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return canon, hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _seed_of(args, cfg: dict) -> int:
@@ -107,8 +122,7 @@ def _fmt(v) -> str:
 
 
 def _header_lines(command: str, seed: int, cfg: dict, extra: Optional[dict] = None) -> list[str]:
-    canon = _canonical(cfg)
-    digest = hashlib.sha256(canon.encode()).hexdigest()
+    canon, digest = _config_digest(cfg)
     lines = [
         f"# logcount-output: {SCHEMA}",
         f"# command: {command}",
@@ -121,39 +135,35 @@ def _header_lines(command: str, seed: int, cfg: dict, extra: Optional[dict] = No
     return lines
 
 
+def _write_text(path: Optional[str], text: str):
+    """Write an output to ``path``, or to stdout when no path is given."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
+
+
 def _write_csv(path: Optional[str], header_lines: list[str], columns: list[str], rows):
-    out = []
-    out.extend(header_lines)
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(out) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    out = [*header_lines, ",".join(columns)]
+    out.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _write_text(path, "\n".join(out) + "\n")
 
 
-def _write_json(path: Optional[str], payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _json_payload(command: str, seed: int, cfg: dict, result: dict) -> dict:
-    canon = _canonical(cfg)
-    return {
+def _write_json(path: Optional[str], command: str, seed: int, cfg: dict, result: dict):
+    payload = {
         "schema": SCHEMA,
         "command": command,
         "master_seed": seed,
-        "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
+        "config_sha256": _config_digest(cfg)[1],
         "config": cfg,
         "result": result,
     }
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _read_counts(path: str) -> np.ndarray:
@@ -161,9 +171,10 @@ def _read_counts(path: str) -> np.ndarray:
     values = []
     header_allowed = True
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}") from None
+        # undecodable bytes become U+FFFD and fail as non-numeric rows
+        fh = open(_cast(os.fspath, path, "'data'"), "r", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc.strerror}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -179,7 +190,7 @@ def _read_counts(path: str) -> np.ndarray:
             header_allowed = False
             if val < 0:
                 raise DataError(f"row {lineno}: negative count {line!r}")
-            if val != math.floor(val):
+            if not math.isfinite(val) or val != math.floor(val):
                 raise DataError(f"row {lineno}: non-integer count {line!r}")
             values.append(val)
     if len(values) < 2:
@@ -195,7 +206,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _require_keys(cfg, {"model", "n"}, set(), "simulate config")
     params = _model_from_config(cfg["model"])
-    n = int(cfg["n"])
+    n = _cast(int, cfg["n"], "'n'")
     seed = _seed_of(args, cfg)
     traj = simulate(params, n, seed)
     fit_info = ""
@@ -221,14 +232,14 @@ def cmd_fit(args) -> int:
         params = _model_from_config(cfg["model"])
         result["sigma2_asymptotic"] = asymptotic_sigma2(params)
     if "theta_bar" in cfg:
-        result["t_statistic"] = t_statistic(fit, float(cfg["theta_bar"]))
+        result["t_statistic"] = t_statistic(fit, _cast(float, cfg["theta_bar"], "'theta_bar'"))
     if "curve_out" in cfg:
         t = np.arange(1, fit.n + 1, dtype=float)
         curve = t ** fit.theta_hat
-        _write_csv(cfg["curve_out"], _header_lines("fit", seed, cfg),
+        _write_csv(_cast(os.fspath, cfg["curve_out"], "'curve_out'"), _header_lines("fit", seed, cfg),
                    ["t", "x", "trend"], zip(t, x, curve))
         result["curve_out"] = cfg["curve_out"]
-    _write_json(args.out, _json_payload("fit", seed, cfg, result))
+    _write_json(args.out, "fit", seed, cfg, result)
     return 0
 
 
@@ -236,8 +247,10 @@ def _bootstrap_from_config(obj) -> BootstrapConfig:
     if not isinstance(obj, dict):
         raise ConfigError("'bootstrap' must be an object")
     _require_keys(obj, {"l_n", "N_n", "B", "alpha"}, set(), "bootstrap config")
-    return BootstrapConfig(l_n=float(obj["l_n"]), N_n=int(obj["N_n"]),
-                           B=int(obj["B"]), alpha=float(obj["alpha"]))
+    return BootstrapConfig(l_n=_cast(float, obj["l_n"], "bootstrap 'l_n'"),
+                           N_n=_cast(int, obj["N_n"], "bootstrap 'N_n'"),
+                           B=_cast(int, obj["B"], "bootstrap 'B'"),
+                           alpha=_cast(float, obj["alpha"], "bootstrap 'alpha'"))
 
 
 def cmd_ci(args) -> int:
@@ -256,25 +269,24 @@ def cmd_ci(args) -> int:
         "level": ci.level,
         "n": len(x),
     }
-    _write_json(args.out, _json_payload("ci", seed, cfg, result))
+    _write_json(args.out, "ci", seed, cfg, result)
     return 0
 
 
 def cmd_mc_boxplot(args) -> int:
-    from .estimation import ensemble_theta_hats
-
     cfg = _load_config(args.config)
     _require_keys(cfg, {"model", "n", "replicates"}, {"theta_bar_loops"}, "mc-boxplot config")
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
-    n_list = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    replicates = int(cfg["replicates"])
+    n_list = _cast(lambda v: [int(n) for n in (v if isinstance(v, list) else [v])],
+                   cfg["n"], "'n'")
+    replicates = _cast(int, cfg["replicates"], "'replicates'")
     if replicates < 100:
         raise ConfigError(f"mc-boxplot needs at least 100 replicates, got {replicates}")
-    tb_loops = int(cfg.get("theta_bar_loops", 20_000))
+    tb_loops = _cast(int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'")
     rows = []
     summary = {}
-    for ni, n in enumerate(int(v) for v in n_list):
+    for ni, n in enumerate(n_list):
         tb = theta_bar_mc(params, n, tb_loops, _rng.derive_seed(seed, _rng.NS_TARGET, ni),
                           threads=args.threads)
         thetas = ensemble_theta_hats(params, n, replicates, _rng.derive_seed(seed, _rng.NS_SIM, ni),
@@ -305,14 +317,15 @@ def cmd_mixing(args) -> int:
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
     if "n_grid" in cfg:
-        n_grid = [int(v) for v in cfg["n_grid"]]
+        n_grid = _cast(lambda v: [int(n) for n in v], cfg["n_grid"], "'n_grid'")
     elif "n_max" in cfg:
-        n_grid = list(range(1, int(cfg["n_max"]) + 1))
+        n_grid = list(range(1, _cast(int, cfg["n_max"], "'n_max'") + 1))
     else:
         raise ConfigError("mixing config needs 'n_grid' or 'n_max'")
-    truncation = int(cfg.get("R", 50))
-    res = estimate_beta(params, int(cfg["k"]), n_grid, truncation,
-                        int(cfg["replicates"]), seed, threads=args.threads)
+    truncation = _cast(int, cfg.get("R", 50), "'R'")
+    res = estimate_beta(params, _cast(int, cfg["k"], "'k'"), n_grid, truncation,
+                        _cast(int, cfg["replicates"], "'replicates'"), seed,
+                        threads=args.threads)
     slope = res.log_slope()
     extra = {
         "replicates": res.replicates,
@@ -334,22 +347,21 @@ def cmd_coverage(args) -> int:
                         "mc_loops", "B"},
                   {"sigma0", "theta_bar_loops"}, "coverage config")
     seed = _seed_of(args, cfg)
-    cells = [(float(l), int(w)) for l, w in cfg["cells"]]
-    alphas = [float(a) for a in cfg["alphas"]]
+    cells = _cast(lambda v: [(float(l), int(w)) for l, w in v], cfg["cells"], "'cells'")
+    alphas = _cast(lambda v: [float(a) for a in v], cfg["alphas"], "'alphas'")
+    model = {k: cfg[k] for k in ("a", "b", "c", "sigma0") if k in cfg}
     rows = []
-    for fi, innov_obj in enumerate(cfg["innovations"]):
-        innov = innovation_from_json(innov_obj)
-        params = ModelParams(a=float(cfg["a"]), b=float(cfg["b"]), c=float(cfg["c"]),
-                             innovation=innov, sigma0=float(cfg.get("sigma0", 1.0)))
+    for fi, innov_obj in enumerate(_cast(list, cfg["innovations"], "'innovations'")):
+        params = _model_from_config({**model, "innovation": innov_obj})
         res = coverage_experiment(
-            params, int(cfg["n"]), cells, alphas,
-            mc_loops=int(cfg["mc_loops"]), B=int(cfg["B"]),
+            params, _cast(int, cfg["n"], "'n'"), cells, alphas,
+            mc_loops=_cast(int, cfg["mc_loops"], "'mc_loops'"), B=_cast(int, cfg["B"], "'B'"),
             master_seed=_rng.derive_seed(seed, _rng.NS_SIM, fi),
-            theta_bar_loops=int(cfg.get("theta_bar_loops", 20_000)),
+            theta_bar_loops=_cast(int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'"),
             threads=args.threads,
         )
-        rows.extend((c.l_n, c.N_n, innov.family, c.alpha, c.coverage, c.mc_loops, c.B)
-                    for c in res)
+        rows.extend((c.l_n, c.N_n, params.innovation.family, c.alpha, c.coverage,
+                     c.mc_loops, c.B) for c in res)
     _write_csv(args.out, _header_lines("coverage", seed, cfg),
                ["l_n", "N_n", "family", "alpha", "coverage", "mc_loops", "B"], rows)
     return 0
@@ -360,12 +372,12 @@ def cmd_tv_check(args) -> int:
     _require_keys(cfg, {"sigmas"}, {"innovation", "innovations"}, "tv-check config")
     seed = _seed_of(args, cfg)
     if "innovations" in cfg:
-        innov_objs = cfg["innovations"]
+        innov_objs = _cast(list, cfg["innovations"], "'innovations'")
     elif "innovation" in cfg:
         innov_objs = [cfg["innovation"]]
     else:
         raise ConfigError("tv-check config needs 'innovation' or 'innovations'")
-    sigmas = [float(s) for s in cfg["sigmas"]]
+    sigmas = _cast(lambda v: [float(s) for s in v], cfg["sigmas"], "'sigmas'")
     rows = []
     for obj in innov_objs:
         spec = innovation_from_json(obj)
@@ -394,7 +406,7 @@ def cmd_constants(args) -> int:
         "e_ln_plus": c.e_ln_plus,
         "var_ln_y": c.var_ln_y,
     }
-    _write_json(args.out, _json_payload("constants", seed, cfg, result))
+    _write_json(args.out, "constants", seed, cfg, result)
     return 0
 
 

@@ -239,8 +239,13 @@ class CouplingExperimentResult:
 
 
 def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed: int,
-                         lo: int, hi: int, keep_paths: bool = False):
+                         lo: int, hi: int):
     """Replicates lo..hi-1 of the pair experiment.
+
+    Returns ``(merged, sigma, x)``: ``merged`` of shape (hi-lo, horizon) is
+    True where the coupled step t = k+1+j drew equal counts; ``sigma`` and
+    ``x`` of shape (2, hi-lo, k+1+horizon) hold both chains, the first chain
+    at index 0, over t = 0..k+horizon.
 
     Uniform budget per replicate: (k+1) innovations per chain for the
     independent phase, then one shared uniform per coupled step; iid
@@ -248,10 +253,8 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
-    n_u = 2 * (k + 1) + horizon + (2 * k + horizon if iid else 0)
-    u = np.empty((R, n_u))
-    for i, r in enumerate(range(lo, hi)):
-        u[i] = _rng.stream(master_seed, _rng.NS_SIM, r).random(n_u)
+    u = _rng.uniform_rows(master_seed, lo, hi,
+                          2 * (k + 1) + horizon + (2 * k + horizon if iid else 0))
     ua = u[:, : k + 1]
     ub = u[:, k + 1: 2 * (k + 1)]
     uc = u[:, 2 * (k + 1): 2 * (k + 1) + horizon]
@@ -263,57 +266,38 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     else:
         uca = ucb = ucs = None
 
-    sig_a_hist, x_a_hist, _, _ = _evolve(params, k, ua, uca)
-    sig_b_hist, x_b_hist, _, _ = _evolve(params, k, ub, ucb)
-    sigma_a, sigma_b = sig_a_hist[:, -1], sig_b_hist[:, -1]
-    x_a, x_b = x_a_hist[:, -1], x_b_hist[:, -1]
+    sig = np.empty((2, R, k + 1 + horizon))
+    xs = np.empty((2, R, k + 1 + horizon))
+    sig[0, :, :k + 1], xs[0, :, :k + 1], _, _ = _evolve(params, k, ua, uca)
+    sig[1, :, :k + 1], xs[1, :, :k + 1], _, _ = _evolve(params, k, ub, ucb)
+    sigma_a, sigma_b = sig[:, :, k]
+    x_a, x_b = xs[:, :, k]
 
     merged = np.empty((R, horizon), dtype=bool)
-    paths = {"sa": [], "sb": [], "xa": [], "xb": []} if keep_paths else None
     for j in range(horizon):
         t = k + 1 + j
         c_t = _exo_term(params, t, ucs[:, j] if iid else None)  # shared across the pair
         sigma_a = _next_sigma(params, t, sigma_a, x_a, c_t)
         sigma_b = _next_sigma(params, t, sigma_b, x_b, c_t)
-        x_a, x_b, m = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
-        merged[:, j] = m
-        if keep_paths:
-            paths["sa"].append(sigma_a.copy())
-            paths["sb"].append(sigma_b.copy())
-            paths["xa"].append(x_a.copy())
-            paths["xb"].append(x_b.copy())
-    if keep_paths:
-        full = {
-            "sigma": np.concatenate([sig_a_hist, np.stack(paths["sa"], axis=1)], axis=1),
-            "sigma_prime": np.concatenate([sig_b_hist, np.stack(paths["sb"], axis=1)], axis=1),
-            "x": np.concatenate([x_a_hist, np.stack(paths["xa"], axis=1)], axis=1),
-            "x_prime": np.concatenate([x_b_hist, np.stack(paths["xb"], axis=1)], axis=1),
-        }
-        return merged, full
-    return merged, None
+        x_a, x_b, merged[:, j] = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
+        sig[0, :, t], sig[1, :, t] = sigma_a, sigma_b
+        xs[0, :, t], xs[1, :, t] = x_a, x_b
+    return merged, sig, xs
 
 
 def run_coupled_chains(params: ModelParams, k: int, n_max: int, truncation: int,
                        master_seed: int, replicate: int = 0) -> CoupledRun:
     """One replicate of the pair experiment with full paths retained."""
     validate(params)
-    horizon = n_max + truncation
-    merged, full = _coupled_chain_block(
-        params, k, horizon, master_seed, replicate, replicate + 1, keep_paths=True
-    )
-    return CoupledRun(
-        k=k,
-        sigma=full["sigma"][0],
-        sigma_prime=full["sigma_prime"][0],
-        x=full["x"][0],
-        x_prime=full["x_prime"][0],
-        merged=merged[0],
-    )
+    merged, sig, xs = _coupled_chain_block(
+        params, k, n_max + truncation, master_seed, replicate, replicate + 1)
+    return CoupledRun(k=k, sigma=sig[0, 0], sigma_prime=sig[1, 0],
+                      x=xs[0, 0], x_prime=xs[1, 0], merged=merged[0])
 
 
 def _beta_chunk(params: ModelParams, k: int, n_max: int, truncation: int,
                 master_seed: int, lo: int, hi: int) -> np.ndarray:
-    merged, _ = _coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi)
+    merged, _, _ = _coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi)
     diff = ~merged
     windows = np.lib.stride_tricks.sliding_window_view(diff, truncation + 1, axis=1)
     return windows.any(axis=2).sum(axis=0).astype(np.int64)
@@ -330,8 +314,10 @@ def estimate_beta(params: ModelParams, k: int, n_grid, truncation: int,
     """
     consts = validate(params)
     n_grid = np.asarray(sorted(set(int(n) for n in n_grid)), dtype=int)
-    if n_grid[0] < 1:
-        raise ConfigError("gaps must be >= 1")
+    if len(n_grid) == 0 or n_grid[0] < 1:
+        raise ConfigError("need at least one gap, and gaps must be >= 1")
+    if k < 0 or truncation < 0 or replicates < 1:
+        raise ConfigError("need k >= 0, truncation >= 0 and replicates >= 1")
     n_max = int(n_grid[-1])
     worker = partial(_beta_chunk, params, k, n_max, truncation, master_seed)
     parts = _rng.run_chunks(worker, replicates, threads)

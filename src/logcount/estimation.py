@@ -149,6 +149,8 @@ def ensemble_theta_hats(params: ModelParams, n: int, replicates: int, master_see
                         threads: int = 1) -> np.ndarray:
     """Trend fits of independent replicate trajectories (one stream each)."""
     validate(params)
+    if n < 2:
+        raise ConfigError(f"need at least 2 observations to fit a trend, got {n}")
     worker = partial(_theta_chunk, params, n, master_seed)
     parts = _rng.run_chunks(worker, replicates, threads)
     return np.concatenate(parts)

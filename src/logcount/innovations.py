@@ -308,7 +308,7 @@ def innovation_from_json(obj: dict) -> InnovationSpec:
         raise ConfigError("innovation must be an object with a 'family' key")
     kwargs = {k: v for k, v in obj.items() if k != "family"}
     family = obj["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown innovation family {family!r}; expected one of {sorted(_FAMILIES)}")
     try:
         return _FAMILIES[family](**kwargs)
@@ -402,8 +402,6 @@ def _p_sup(spec: InnovationSpec) -> float:
     candidates = [float(spec.density(0.0))]
     for x in spec.critical_points():
         candidates.append(float(spec.density(x)))
-    if isinstance(spec, ChiSquare) and spec.df > 2:
-        candidates.append(float(spec.density(spec.mode)))
     return max(candidates)
 
 
@@ -422,8 +420,7 @@ def compute_constants(spec: InnovationSpec) -> DistributionConstants:
         big_gamma = 0.5 * (1.0 + _slope_abs_integral(spec))
 
     e_ln_plus = _quad(lambda y: math.log(y) * float(spec.density(y)), 1.0, math.inf)
-    m1 = _quad(lambda y: math.log(y) * float(spec.density(y)), 0.0, 1.0) + \
-        _quad(lambda y: math.log(y) * float(spec.density(y)), 1.0, math.inf)
+    m1 = _quad(lambda y: math.log(y) * float(spec.density(y)), 0.0, 1.0) + e_ln_plus
     m2 = _quad(lambda y: math.log(y) ** 2 * float(spec.density(y)), 0.0, 1.0) + \
         _quad(lambda y: math.log(y) ** 2 * float(spec.density(y)), 1.0, math.inf)
     var_ln_y = m2 - m1 * m1
@@ -533,7 +530,10 @@ def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
         return 0.0
     base = law1.base
     s_max = max(law1.sigma, law2.sigma)
-    k_full = int(math.ceil(s_max * float(base.quantile(1.0 - TAIL))))
+    k_top = s_max * float(base.quantile(1.0 - TAIL))
+    if not math.isfinite(k_top):
+        raise NumericError(f"the support of scale {s_max!r} overflows a float")
+    k_full = int(math.ceil(k_top))
     if k_full <= DENSE_MAX:
         ks = np.arange(k_full + 1, dtype=float)
         acc = float(np.abs(law1.pmf(ks) - law2.pmf(ks)).sum())
@@ -605,6 +605,8 @@ def tv_bound_check(spec: InnovationSpec, sigma_grid, *, tolerance: float = 1e-9)
         pairs = [(float(a), float(b)) for i, a in enumerate(grid) for b in grid[i:]]
     else:
         pairs = [(float(a), float(b)) for a, b in grid]
+    if not pairs:
+        raise ConfigError("tv_bound_check needs at least one scale")
     big_gamma = compute_constants(spec).big_gamma
     rows = []
     for s, sp in pairs:

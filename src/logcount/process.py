@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import rng as _rng
 from .errors import ConfigError, ExplosionError
@@ -52,6 +54,8 @@ class ExogenousSpec:
     def __post_init__(self):
         if self.kind not in ("trend", "iid"):
             raise ConfigError(f"exogenous kind must be 'trend' or 'iid', got {self.kind!r}")
+        if not all(map(math.isfinite, (self.mean, self.sd, self.half_width))):
+            raise ConfigError("exogenous mean, sd and half_width must be finite")
         if self.kind == "iid":
             if self.family == "normal":
                 if not self.sd >= 0:
@@ -77,8 +81,6 @@ class ExogenousSpec:
             raise ConfigError("deterministic trend exogenous has no sampling quantile")
         u = np.asarray(u, dtype=float)
         if self.family == "normal":
-            from scipy.special import ndtri
-
             return self.mean + self.sd * ndtri(u)
         return self.mean + self.half_width * (2.0 * u - 1.0)
 
@@ -206,20 +208,21 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     return sig, xs, cs, ys
 
 
-def _uniforms_for(params: ModelParams, n: int, master_seed: int, path: tuple[int, ...]):
-    gen = _rng.stream(master_seed, *path)
-    u_y = gen.random(n + 1)
-    u_c = gen.random(n) if params.exogenous.kind == "iid" else None
-    return u_y, u_c
+def _evolve_rows(params: ModelParams, n: int, uniforms):
+    """``_evolve`` on ``uniforms(width)``, an (R, width) matrix whose rows hold
+    the n+1 innovation uniforms followed, for the iid kind, by n exogenous ones."""
+    if n < 0:
+        raise ConfigError("trajectory length must be >= 0")
+    iid = params.exogenous.kind == "iid"
+    u = uniforms(2 * n + 1 if iid else n + 1)
+    return _evolve(params, n, u[:, :n + 1], u[:, n + 1:] if iid else None)
 
 
 def simulate(params: ModelParams, n: int, master_seed: int) -> Trajectory:
     """Simulate (sigma_t, X_t) for t = 0..n, deterministically in the seed."""
     validate(params)
-    if n < 0:
-        raise ConfigError("trajectory length must be >= 0")
-    u_y, u_c = _uniforms_for(params, n, master_seed, ())
-    sig, xs, cs, ys = _evolve(params, n, u_y[None, :], None if u_c is None else u_c[None, :])
+    sig, xs, cs, ys = _evolve_rows(
+        params, n, lambda width: _rng.stream(master_seed).random((1, width)))
     return Trajectory(sigma=sig[0], x=xs[0], c_exo=cs[0], y=ys[0])
 
 
@@ -229,15 +232,7 @@ def simulate_replicate_block(params: ModelParams, n: int, master_seed: int,
 
     Returns arrays of shape (hi-lo, n+1): sigma, x.
     """
-    R = hi - lo
-    u_y = np.empty((R, n + 1))
-    u_c = np.empty((R, n)) if params.exogenous.kind == "iid" else None
-    for i, r in enumerate(range(lo, hi)):
-        row_y, row_c = _uniforms_for(params, n, master_seed, (_rng.NS_SIM, r))
-        u_y[i] = row_y
-        if u_c is not None:
-            u_c[i] = row_c
-    sig, xs, _, _ = _evolve(params, n, u_y, u_c)
+    sig, xs, _, _ = _evolve_rows(params, n, partial(_rng.uniform_rows, master_seed, lo, hi))
     return sig, xs
 
 

@@ -4,7 +4,8 @@ Every random quantity in this package is drawn from a numpy Generator seeded
 by ``SeedSequence([master_seed, *path])``.  A unit of work (one replicate, one
 Monte Carlo loop, one bootstrap block) owns its path, so it can be recomputed
 in isolation and results never depend on scheduling, chunk boundaries, or the
-number of worker processes.
+number of worker processes.  ``uniform_rows`` is the one place that maps a
+simulated replicate r to its stream ``(master_seed, NS_SIM, r)``.
 """
 from __future__ import annotations
 
@@ -29,6 +30,15 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *[int(p) for p in path]]))
+
+
+def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """Matrix of shape (hi-lo, width): row i holds the first ``width`` uniforms
+    of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``."""
+    u = np.empty((hi - lo, width))
+    for i in range(hi - lo):
+        u[i] = stream(master_seed, NS_SIM, lo + i).random(width)
+    return u
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -5,12 +5,15 @@ import pytest
 from scipy import stats
 
 import logcount as lc
-from logcount.coupling import _dense_coupled, _first_true, _scaled_coupled
+from logcount.coupling import _coupled_chain_block, _dense_coupled, _first_true, _scaled_coupled
 from logcount.errors import ConfigError
 
 EXP = lc.Exponential(1.0)
 HN = lc.HalfNormal.from_mean(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
+IID_PARAMS = lc.ModelParams(a=0.3, b=0.3, c=0.0, innovation=EXP,
+                            exogenous=lc.ExogenousSpec(kind="iid", family="normal",
+                                                       mean=0.5, sd=0.3))
 
 
 def chi2_gof_pvalue(law, draws):
@@ -144,6 +147,21 @@ def test_degenerate_recursion_merges_immediately():
     run = lc.run_coupled_chains(params, k=5, n_max=5, truncation=5, master_seed=3)
     assert run.merged.all()
     assert np.array_equal(run.x[6:], run.x_prime[6:])
+
+
+@pytest.mark.parametrize("params", [PARAMS, IID_PARAMS], ids=["trend", "iid"])
+def test_coupled_replicate_does_not_depend_on_its_block(params):
+    # run_coupled_chains(replicate=r) is row r - lo of any block holding r
+    k, n_max, truncation, lo, hi = 6, 8, 4, 3, 11
+    merged, sig, xs = _coupled_chain_block(params, k, n_max + truncation, 77, lo, hi)
+    assert merged.shape == (hi - lo, n_max + truncation)
+    assert sig.shape == xs.shape == (2, hi - lo, k + 1 + n_max + truncation)
+    for r in range(lo, hi):
+        run = lc.run_coupled_chains(params, k, n_max, truncation, 77, replicate=r)
+        i = r - lo
+        assert np.array_equal(run.sigma, sig[0, i]) and np.array_equal(run.sigma_prime, sig[1, i])
+        assert np.array_equal(run.x, xs[0, i]) and np.array_equal(run.x_prime, xs[1, i])
+        assert np.array_equal(run.merged, merged[i])
 
 
 def test_run_reproducible_and_sign_consistent():

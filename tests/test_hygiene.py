@@ -1,7 +1,8 @@
 """Static checks on the package source with the standard library's ``ast``.
 
 They stand in for a linter: an import nothing uses and a private helper
-nothing calls are both dead code.
+nothing calls are both dead code, and an import inside a function hides a
+module's dependencies from its header.
 """
 import ast
 from pathlib import Path
@@ -56,3 +57,13 @@ def test_no_unreferenced_private_definitions():
                     and node.name not in used):
                 findings.append(f"{path.stem}.{node.name}")
     assert findings == [], f"private definitions nothing references: {findings}"
+
+
+def test_no_function_local_imports():
+    findings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(parse(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                findings.extend(f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                                if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert findings == [], f"imports inside functions: {findings}"

@@ -5,9 +5,13 @@ import pytest
 
 import logcount as lc
 from logcount.errors import ConfigError, ExplosionError
+from logcount.process import simulate_replicate_block
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
+IID_PARAMS = lc.ModelParams(a=0.2, b=0.1, c=0.0, innovation=EXP,
+                            exogenous=lc.ExogenousSpec(kind="iid", family="normal",
+                                                       mean=0.5, sd=0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,17 @@ def test_simulate_iid_exogenous_runs():
     assert traj.n == 100
     assert np.all(traj.sigma > 0)
     assert np.std(traj.c_exo[1:]) > 0  # genuinely random exogenous terms
+
+
+@pytest.mark.parametrize("params", [PARAMS, IID_PARAMS], ids=["trend", "iid"])
+def test_replicate_does_not_depend_on_its_block(params):
+    # replicate r is drawn from its own stream, whichever chunk it runs in
+    lo, hi = 7, 19
+    sig, xs = simulate_replicate_block(params, 40, 2024, lo, hi)
+    assert sig.shape == xs.shape == (hi - lo, 41)
+    for i in range(hi - lo):
+        sig_1, xs_1 = simulate_replicate_block(params, 40, 2024, lo + i, lo + i + 1)
+        assert np.array_equal(sig[i], sig_1[0]) and np.array_equal(xs[i], xs_1[0])
 
 
 def test_explosion_guard():
