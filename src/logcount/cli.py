@@ -75,6 +75,13 @@ def _cast(convert, value, what: str):
         raise ConfigError(f"invalid {what}: {value!r}") from None
 
 
+def _array(value) -> list:
+    """``value`` if it is a JSON array; a string would otherwise iterate by character."""
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return value
+
+
 def _model_from_config(obj) -> ModelParams:
     if not isinstance(obj, dict):
         raise ConfigError("'model' must be an object")
@@ -317,7 +324,7 @@ def cmd_mixing(args) -> int:
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
     if "n_grid" in cfg:
-        n_grid = _cast(lambda v: [int(n) for n in v], cfg["n_grid"], "'n_grid'")
+        n_grid = _cast(lambda v: [int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
     elif "n_max" in cfg:
         n_grid = list(range(1, _cast(int, cfg["n_max"], "'n_max'") + 1))
     else:
@@ -347,11 +354,12 @@ def cmd_coverage(args) -> int:
                         "mc_loops", "B"},
                   {"sigma0", "theta_bar_loops"}, "coverage config")
     seed = _seed_of(args, cfg)
-    cells = _cast(lambda v: [(float(l), int(w)) for l, w in v], cfg["cells"], "'cells'")
-    alphas = _cast(lambda v: [float(a) for a in v], cfg["alphas"], "'alphas'")
+    cells = _cast(lambda v: [(float(l), int(w)) for l, w in map(_array, _array(v))],
+                  cfg["cells"], "'cells'")
+    alphas = _cast(lambda v: [float(a) for a in _array(v)], cfg["alphas"], "'alphas'")
     model = {k: cfg[k] for k in ("a", "b", "c", "sigma0") if k in cfg}
     rows = []
-    for fi, innov_obj in enumerate(_cast(list, cfg["innovations"], "'innovations'")):
+    for fi, innov_obj in enumerate(_cast(_array, cfg["innovations"], "'innovations'")):
         params = _model_from_config({**model, "innovation": innov_obj})
         res = coverage_experiment(
             params, _cast(int, cfg["n"], "'n'"), cells, alphas,
@@ -372,12 +380,12 @@ def cmd_tv_check(args) -> int:
     _require_keys(cfg, {"sigmas"}, {"innovation", "innovations"}, "tv-check config")
     seed = _seed_of(args, cfg)
     if "innovations" in cfg:
-        innov_objs = _cast(list, cfg["innovations"], "'innovations'")
+        innov_objs = _cast(_array, cfg["innovations"], "'innovations'")
     elif "innovation" in cfg:
         innov_objs = [cfg["innovation"]]
     else:
         raise ConfigError("tv-check config needs 'innovation' or 'innovations'")
-    sigmas = _cast(lambda v: [float(s) for s in v], cfg["sigmas"], "'sigmas'")
+    sigmas = _cast(lambda v: [float(s) for s in _array(v)], cfg["sigmas"], "'sigmas'")
     rows = []
     for obj in innov_objs:
         spec = innovation_from_json(obj)

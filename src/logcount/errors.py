@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# Largest |ln(sigma)| the intensity recursion may reach before ExplosionError.
+LOG_SIGMA_LIMIT = 700.0
+
 
 class ConfigError(ValueError):
     """Invalid configuration: bad parameter values or inconsistent inputs."""
@@ -18,7 +21,8 @@ class ExplosionError(NumericError):
 
     def __init__(self, t: int, log_sigma: float):
         super().__init__(
-            f"intensity recursion exploded at t={t}: |ln(sigma)| = {abs(log_sigma):.4g} > 700"
+            f"intensity recursion exploded at t={t}: "
+            f"|ln(sigma)| = {abs(log_sigma):.4g} > {LOG_SIGMA_LIMIT:g}"
         )
         self.t = t
         self.log_sigma = log_sigma

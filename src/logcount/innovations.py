@@ -40,8 +40,18 @@ def _as_float_array(x):
 # Innovation families
 # ---------------------------------------------------------------------------
 
+class _Family:
+    """Shape shared by the families: ``mode`` is 0 for a non-increasing density."""
+
+    mode = 0.0
+
+    @property
+    def monotone_density(self) -> bool:
+        return self.mode == 0.0
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Family):
     """Exponential innovation, density ``rate * exp(-rate*y)`` on [0, inf)."""
 
     rate: float = 1.0
@@ -50,10 +60,6 @@ class Exponential:
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"exponential rate must be positive, got {self.rate}")
-
-    @property
-    def monotone_density(self) -> bool:
-        return True
 
     def density(self, y):
         y = _as_float_array(y)
@@ -75,12 +81,9 @@ class Exponential:
         y = _as_float_array(y)
         return np.where(y >= 0, -self.rate**2 * np.exp(-self.rate * np.maximum(y, 0.0)), 0.0)
 
-    def critical_points(self) -> tuple[float, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
-class HalfNormal:
+class HalfNormal(_Family):
     """Absolute value of a centered normal with standard deviation ``scale``."""
 
     scale: float = 1.0
@@ -94,10 +97,6 @@ class HalfNormal:
     def from_mean(cls, mean: float) -> "HalfNormal":
         """Family member with E[Y] = mean (mean = scale * sqrt(2/pi))."""
         return cls(scale=mean * math.sqrt(math.pi / 2.0))
-
-    @property
-    def monotone_density(self) -> bool:
-        return True
 
     def density(self, y):
         y = _as_float_array(y)
@@ -121,17 +120,18 @@ class HalfNormal:
         y = _as_float_array(y)
         return np.where(y >= 0, -y / self.scale**2 * self.density(y), 0.0)
 
-    def critical_points(self) -> tuple[float, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
-class HalfCauchy:
+class HalfCauchy(_Family):
     """Absolute value of a Cauchy variable with the given location and scale.
 
-    Density ``(s/pi) * [1/((y-m)^2+s^2) + 1/((y+m)^2+s^2)]`` on [0, inf);
-    it is non-increasing for location 0 but develops a bump near ``|m|``
-    once the location is large relative to the scale.  No moments of order
+    Density ``(s/pi) * [1/((y-m)^2+s^2) + 1/((y+m)^2+s^2)]`` on [0, inf) with
+    ``m = |location|``, ``s = scale`` and ``c = m^2 + s^2``.  Closed forms:
+    the cdf is ``theta/pi`` with ``tan(theta) = 2ys/(c - y^2)``, so the
+    quantile at u is the positive root of ``y^2 + 2ys cot(pi u) - c = 0``;
+    ``p'(y)`` has the sign of ``-(Q^2 - 4m^2 Q + 4m^2 y^2)`` with
+    ``Q = y^2 + c``, so ``mode = sqrt(max(2m sqrt(c) - c, 0))`` and the
+    density is non-increasing iff ``m <= s/sqrt(3)``.  No moments of order
     one or higher exist, but all logarithmic moments used here are finite.
     """
 
@@ -146,13 +146,10 @@ class HalfCauchy:
             raise ConfigError("half-Cauchy location must be finite")
 
     @property
-    def monotone_density(self) -> bool:
+    def mode(self) -> float:
         m, s = abs(self.location), self.scale
-        if m == 0.0:
-            return True
-        # p'(x) > 0 somewhere on (0, m] means a bump; probe a dense grid.
-        xs = np.linspace(0.0, m, ENVELOPE_GRID)[1:]
-        return bool(np.all(self.density_slope(xs) <= 0.0))
+        c = m * m + s * s
+        return math.sqrt(max(2.0 * m * math.sqrt(c) - c, 0.0))
 
     def density(self, y):
         y = _as_float_array(y)
@@ -182,23 +179,13 @@ class HalfCauchy:
         m, s = abs(self.location), self.scale
         if m == 0.0:
             return s * np.tan(math.pi * u / 2.0)
-        # No closed form when folded off-center: bisect the CDF.
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, m + s)
-        # grow the bracket until it covers all requested levels
-        while True:
-            need = self.cdf(hi) < u
-            if not np.any(need):
-                break
-            hi = np.where(need, hi * 2.0, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all((hi - lo) <= 1e-14 * np.maximum(hi, 1.0)):
-                break
-        return 0.5 * (lo + hi)
+        # cot(pi u) from the nearer end of (0, 1) and the root without
+        # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf)
+        c = m * m + s * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_cot = s * np.where(u > 0.5, -1.0 / np.tan(math.pi * (1.0 - u)), 1.0 / np.tan(math.pi * u))
+            r = np.hypot(s_cot, math.sqrt(c))
+            return np.where(s_cot > 0, c / (s_cot + r), r - s_cot)
 
     def density_slope(self, y):
         y = _as_float_array(y)
@@ -209,30 +196,9 @@ class HalfCauchy:
         )
         return np.where(y >= 0, val, 0.0)
 
-    def critical_points(self) -> tuple[float, ...]:
-        m, s = abs(self.location), self.scale
-        if m == 0.0 or self.monotone_density:
-            return ()
-        # sign changes of p' on (0, 2(m+s)); beyond the last bump p decreases
-        xs = np.linspace(0.0, 2.0 * (m + s), ENVELOPE_GRID)[1:]
-        sl = self.density_slope(xs)
-        sign = np.sign(sl)
-        idx = np.nonzero(np.diff(sign) != 0)[0]
-        points = []
-        for i in idx:
-            a, b = xs[i], xs[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if np.sign(self.density_slope(mid)) == np.sign(self.density_slope(a)):
-                    a = mid
-                else:
-                    b = mid
-            points.append(0.5 * (a + b))
-        return tuple(points)
-
 
 @dataclass(frozen=True)
-class ChiSquare:
+class ChiSquare(_Family):
     """Chi-square innovation with ``df`` degrees of freedom (df >= 2).
 
     Below two degrees of freedom the density is unbounded at the origin,
@@ -248,10 +214,6 @@ class ChiSquare:
             raise ConfigError(
                 f"chi-square df must be >= 2 (bounded density required), got {self.df}"
             )
-
-    @property
-    def monotone_density(self) -> bool:
-        return self.df <= 2
 
     @property
     def mode(self) -> float:
@@ -287,9 +249,6 @@ class ChiSquare:
         with np.errstate(divide="ignore", invalid="ignore"):
             val = self.density(y) * ((self.df / 2.0 - 1.0) / np.maximum(y, np.finfo(float).tiny) - 0.5)
         return np.where(y > 0, val, 0.0)
-
-    def critical_points(self) -> tuple[float, ...]:
-        return (self.mode,) if self.df > 2 else ()
 
 
 InnovationSpec = Union[Exponential, HalfNormal, HalfCauchy, ChiSquare]
@@ -367,12 +326,12 @@ def _quad(fn, lo, hi, *, points=None) -> float:
 
 
 def _slope_abs_integral(spec: InnovationSpec) -> float:
-    """``int_0^inf x |p'(x)| dx`` via closed segment sums between sign changes.
+    """``int_0^inf x |p'(x)| dx`` via closed segment sums on either side of the mode.
 
     On a segment where p is monotone, ``int x p'(x) dx = [x p(x)] - deltaF``,
-    so only the critical points of the density are needed.
+    so only the mode of the density is needed.
     """
-    pts = [0.0, *spec.critical_points(), math.inf]
+    pts = [0.0, spec.mode, math.inf]
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         fa = float(spec.cdf(a)) if a > 0 else 0.0
@@ -385,24 +344,14 @@ def _slope_abs_integral(spec: InnovationSpec) -> float:
 
 def _sup_envelope_integral(spec: InnovationSpec) -> float:
     """``gamma`` for a non-monotone density: grid envelope plus analytic tail."""
-    pts = spec.critical_points()
-    x_last = pts[-1] if pts else 0.0
-    if x_last == 0.0:
-        return 1.0
-    xs = np.linspace(0.0, x_last, ENVELOPE_GRID)
+    mode = spec.mode
+    xs = np.linspace(0.0, mode, ENVELOPE_GRID)
     dens = spec.density(xs)
     envelope = np.maximum.accumulate(dens[::-1])[::-1]
     head = float(np.trapezoid(envelope, xs))
-    # beyond the last critical point the density decreases, so the running
-    # supremum equals the density itself and integrates to the tail mass
-    return head + (1.0 - float(spec.cdf(x_last)))
-
-
-def _p_sup(spec: InnovationSpec) -> float:
-    candidates = [float(spec.density(0.0))]
-    for x in spec.critical_points():
-        candidates.append(float(spec.density(x)))
-    return max(candidates)
+    # beyond the mode the density decreases, so the running supremum
+    # equals the density itself and integrates to the tail mass
+    return head + (1.0 - float(spec.cdf(mode)))
 
 
 @lru_cache(maxsize=None)
@@ -429,7 +378,7 @@ def compute_constants(spec: InnovationSpec) -> DistributionConstants:
     return DistributionConstants(
         gamma=gamma,
         big_gamma=big_gamma,
-        p_sup=_p_sup(spec),
+        p_sup=float(spec.density(spec.mode)),
         e_ln_plus=e_ln_plus,
         var_ln_y=var_ln_y,
     )
@@ -583,10 +532,6 @@ class TVBoundRow:
 class TVBoundReport:
     big_gamma: float
     rows: tuple[TVBoundRow, ...]
-
-    @property
-    def max_slack(self) -> float:
-        return max(r.slack for r in self.rows)
 
     @property
     def min_slack(self) -> float:

@@ -22,15 +22,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng as _rng
-from .errors import ConfigError, ExplosionError
+from .errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
 from .innovations import (
     DistributionConstants,
     DiscretizedLaw,
     InnovationSpec,
     compute_constants,
 )
-
-LOG_SIGMA_LIMIT = 700.0
 
 
 @dataclass(frozen=True)

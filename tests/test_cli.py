@@ -82,6 +82,11 @@ def files(tmp_path_factory):
     ("fit", {"data": "{dir}"}, 3),
     ("fit", {"data": "{dir}/inf.csv"}, 3),
     ("ci", {"data": "{dir}", "bootstrap": BOOTSTRAP}, 3),
+    # a string is not a list of its characters
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": "12"}, 2),
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": "12"}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": ["25"], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

@@ -1,8 +1,8 @@
 """Static checks on the package source with the standard library's ``ast``.
 
-They stand in for a linter: an import nothing uses and a private helper
-nothing calls are both dead code, and an import inside a function hides a
-module's dependencies from its header.
+They stand in for a linter: an import nothing uses, a private helper nothing
+calls and a method or property nothing reads are all dead code, and an
+import inside a function hides a module's dependencies from its header.
 """
 import ast
 from pathlib import Path
@@ -46,9 +46,13 @@ def test_no_unused_module_imports():
     assert findings == [], f"unused imports: {findings}"
 
 
-def test_no_unreferenced_private_definitions():
+def names_used_in_src_and_tests():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    used = set().union(*(referenced_names(parse(path)) for path in files))
+    return set().union(*(referenced_names(parse(path)) for path in files))
+
+
+def test_no_unreferenced_private_definitions():
+    used = names_used_in_src_and_tests()
     findings = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in parse(path).body:
@@ -57,6 +61,18 @@ def test_no_unreferenced_private_definitions():
                     and node.name not in used):
                 findings.append(f"{path.stem}.{node.name}")
     assert findings == [], f"private definitions nothing references: {findings}"
+
+
+def test_no_unreferenced_methods():
+    used = names_used_in_src_and_tests()
+    findings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                findings.extend(f"{path.stem}.{cls.name}.{fn.name}" for fn in cls.body
+                                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                and not fn.name.startswith("__") and fn.name not in used)
+    assert findings == [], f"methods and properties nothing references: {findings}"
 
 
 def test_no_function_local_imports():

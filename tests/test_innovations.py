@@ -1,9 +1,12 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.optimize import brentq
 
 import logcount as lc
 from logcount.errors import ConfigError
@@ -60,6 +63,74 @@ def test_scipy_stats_cross_check():
     fc = stats.foldcauchy(c=4.0, scale=1.0)
     assert np.allclose(HC4.density(x), fc.pdf(x), atol=1e-12)
     assert np.allclose(HC4.cdf(x), fc.cdf(x), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# half-Cauchy closed forms against mpmath at 50 digits
+# ---------------------------------------------------------------------------
+
+BUMPED_HC = [(0.6, 1.0), (1.0, 1.0), (4.0, 1.0), (10.0, 2.0)]
+LEVELS = ([10.0 ** -k for k in range(15, 0, -1)] + [0.3, 0.5, 0.7]
+          + [1.0 - 10.0 ** -k for k in range(1, 16)])
+
+
+def _mp_density(m, s, y):
+    return (s / mpmath.pi) * (1 / ((y - m) ** 2 + s * s) + 1 / ((y + m) ** 2 + s * s))
+
+
+def _mp_slope(m, s, y):
+    return mpmath.diff(lambda v: _mp_density(m, s, v), y)
+
+
+def _mp_bisect(pred, lo, hi, steps=200):
+    """Last point where ``pred`` holds, for a predicate true below and false above."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("m,s", BUMPED_HC)
+def test_half_cauchy_quantile_matches_mpmath(m, s):
+    spec = lc.HalfCauchy(m, s)
+    got = np.asarray(spec.quantile(np.array(LEVELS)))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for u, y in zip(LEVELS, got):
+            # the cdf is increasing: bisect ln y for cdf(y) = u, u taken exactly
+            cdf = lambda ln_y: (mpmath.atan((mpmath.exp(ln_y) - m) / s)
+                                + mpmath.atan((mpmath.exp(ln_y) + m) / s)) / mpmath.pi
+            exact = mpmath.exp(_mp_bisect(lambda ln_y: cdf(ln_y) < mpmath.mpf(u), -80, 80))
+            worst = max(worst, float(abs(mpmath.mpf(float(y)) - exact) / exact))
+    assert worst < 1e-14
+
+
+def test_half_cauchy_quantile_endpoints_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = np.asarray(HC4.quantile(np.array([0.0, 1.0])))
+    assert q[0] == 0.0 and q[1] == math.inf
+
+
+@pytest.mark.parametrize("m,s", BUMPED_HC)
+def test_half_cauchy_mode_is_the_root_of_the_slope(m, s):
+    with mpmath.workdps(50):
+        # p' > 0 on (0, mode) and < 0 beyond; the bump lies below m
+        exact = _mp_bisect(lambda y: _mp_slope(m, s, y) > 0, 0, m)
+        assert _mp_slope(m, s, m) < 0
+        rel = float(abs(mpmath.mpf(lc.HalfCauchy(m, s).mode) - exact) / exact)
+    assert rel < 1e-14
+
+
+@pytest.mark.parametrize("m,monotone", [(0.577, True), (0.578, False)])
+def test_half_cauchy_monotone_iff_location_at_most_scale_over_sqrt3(m, monotone):
+    spec = lc.HalfCauchy(m, 1.0)
+    assert spec.monotone_density is monotone
+    assert (spec.mode == 0.0) is monotone
+    with mpmath.workdps(50):
+        rises = any(_mp_slope(m, 1.0, m * k / 200) > 0 for k in range(1, 201))
+    assert rises is not monotone
 
 
 def test_bad_parameters_rejected():
@@ -173,9 +244,10 @@ def test_gamma_matches_brute_force_envelope(spec):
 
 @pytest.mark.parametrize("spec", [CHI3, HC4], ids=str)
 def test_big_gamma_matches_quadrature_oracle(spec):
-    pts = list(spec.critical_points())
+    # the density rises to one peak and then falls; split the integral there
+    peak = brentq(lambda x: float(spec.density_slope(x)), 1e-9, 50.0)
     val = 0.0
-    edges = [0.0, *pts, max(50.0, 4 * (pts[-1] + 1))]
+    edges = [0.0, peak, max(50.0, 4 * (peak + 1))]
     for a, b in zip(edges[:-1], edges[1:]):
         v, _ = integrate.quad(lambda x: x * abs(float(spec.density_slope(x))), a, b, limit=400)
         val += v
