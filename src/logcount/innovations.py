@@ -36,12 +36,30 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _log_ratio_factor(s_lo, s_hi):
+    """``ln(r) / (r - 1)`` for ``r = s_hi / s_lo >= 1``, and 1 at r = 1.
+
+    Written as ``log1p(x) / x`` with ``x = (s_hi - s_lo) / s_lo`` so that it
+    stays accurate as r goes to 1.
+    """
+    x = (_as_float_array(s_hi) - s_lo) / s_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0, np.log1p(x) / x, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Innovation families
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """Shape shared by the families: ``mode`` is 0 for a non-increasing density."""
+    """Shape shared by the families: ``mode`` is 0 for a non-increasing density.
+
+    Each family also has ``crossing(s_lo, s_hi)``: the point ``y*`` where the
+    scaled densities ``p(y/s_lo)/s_lo`` and ``p(y/s_hi)/s_hi`` cross, for
+    ``0 < s_lo <= s_hi`` (arrays allowed).  It is the only crossing: below it
+    the low scale has the larger density, above it the high scale.  For equal
+    scales it returns the limit as the ratio goes to 1.
+    """
 
     mode = 0.0
 
@@ -75,7 +93,12 @@ class Exponential(_Family):
 
     def quantile(self, u):
         u = _as_float_array(u)
-        return -np.log1p(-u) / self.rate
+        with np.errstate(divide="ignore"):  # u = 1 gives inf
+            return -np.log1p(-u) / self.rate
+
+    def crossing(self, s_lo, s_hi):
+        # rate y (1/s_lo - 1/s_hi) = ln(s_hi/s_lo)
+        return s_hi * _log_ratio_factor(s_lo, s_hi) / self.rate
 
     def density_slope(self, y):
         y = _as_float_array(y)
@@ -116,6 +139,10 @@ class HalfNormal(_Family):
         u = _as_float_array(u)
         return self.scale * math.sqrt(2.0) * special.erfinv(u)
 
+    def crossing(self, s_lo, s_hi):
+        # y^2 (1/s_lo^2 - 1/s_hi^2) / (2 scale^2) = ln(s_hi/s_lo)
+        return self.scale * s_hi * np.sqrt(2.0 * _log_ratio_factor(s_lo, s_hi) * s_lo / (s_lo + s_hi))
+
     def density_slope(self, y):
         y = _as_float_array(y)
         return np.where(y >= 0, -y / self.scale**2 * self.density(y), 0.0)
@@ -131,8 +158,10 @@ class HalfCauchy(_Family):
     quantile at u is the positive root of ``y^2 + 2ys cot(pi u) - c = 0``;
     ``p'(y)`` has the sign of ``-(Q^2 - 4m^2 Q + 4m^2 y^2)`` with
     ``Q = y^2 + c``, so ``mode = sqrt(max(2m sqrt(c) - c, 0))`` and the
-    density is non-increasing iff ``m <= s/sqrt(3)``.  No moments of order
-    one or higher exist, but all logarithmic moments used here are finite.
+    density is non-increasing iff ``m <= s/sqrt(3)``.  ``y p(y)`` is unchanged
+    by ``y -> c/y``, so ``ln Y`` is symmetric about ``ln sqrt(c)``.  No
+    moments of order one or higher exist, but all logarithmic moments used
+    here are finite.
     """
 
     location: float = 0.0
@@ -178,7 +207,7 @@ class HalfCauchy(_Family):
         u = _as_float_array(u)
         m, s = abs(self.location), self.scale
         if m == 0.0:
-            return s * np.tan(math.pi * u / 2.0)
+            return np.where(u < 1.0, s * np.tan(math.pi * u / 2.0), np.inf)
         # cot(pi u) from the nearer end of (0, 1) and the root without
         # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf)
         c = m * m + s * s
@@ -186,6 +215,15 @@ class HalfCauchy(_Family):
             s_cot = s * np.where(u > 0.5, -1.0 / np.tan(math.pi * (1.0 - u)), 1.0 / np.tan(math.pi * u))
             r = np.hypot(s_cot, math.sqrt(c))
             return np.where(s_cot > 0, c / (s_cot + r), r - s_cot)
+
+    def crossing(self, s_lo, s_hi):
+        # With z = y^2, L = s_lo^2, H = s_hi^2, the scaled densities are equal
+        # where s_lo (z+cL)((z+cH)^2 - 4m^2 Hz) = s_hi (z+cH)((z+cL)^2 - 4m^2 Lz).
+        # Dividing out (s_hi - s_lo) leaves a cubic that factors as
+        # (z - c s_lo s_hi)(z^2 + (c(L+H) + 4m^2 s_lo s_hi) z + c^2 LH); the
+        # quadratic has positive coefficients, so y* = sqrt(c s_lo s_hi) is
+        # the one positive crossing, for every location
+        return math.hypot(self.location, self.scale) * np.sqrt(s_lo) * np.sqrt(s_hi)
 
     def density_slope(self, y):
         y = _as_float_array(y)
@@ -243,6 +281,10 @@ class ChiSquare(_Family):
     def quantile(self, u):
         u = _as_float_array(u)
         return 2.0 * special.gammaincinv(self.df / 2.0, u)
+
+    def crossing(self, s_lo, s_hi):
+        # y (1/s_lo - 1/s_hi) / 2 = (df/2) ln(s_hi/s_lo)
+        return self.df * s_hi * _log_ratio_factor(s_lo, s_hi)
 
     def density_slope(self, y):
         y = _as_float_array(y)

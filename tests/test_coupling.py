@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 import logcount as lc
-from logcount.coupling import _coupled_chain_block, _dense_coupled, _first_true, _scaled_coupled
+from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index, _dense_coupled,
+                               _first_true, _scaled_coupled)
 from logcount.errors import ConfigError
 
 EXP = lc.Exponential(1.0)
 HN = lc.HalfNormal.from_mean(1.0)
+HC = lc.HalfCauchy(0.0, 1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
 IID_PARAMS = lc.ModelParams(a=0.3, b=0.3, c=0.0, innovation=EXP,
                             exogenous=lc.ExogenousSpec(kind="iid", family="normal",
@@ -109,6 +112,92 @@ def test_fast_path_equals_dense_reference_heavy_tail():
     assert np.array_equal(xd, xs)
     assert np.array_equal(xpd, xps)
     assert np.array_equal(md, ms)
+
+
+def _hc_tv(s_lo, s_hi):
+    """Total variation of the HalfCauchy(0, 1) count laws at two scales.
+
+    For stochastically ordered laws with one pmf crossing it is the largest
+    ``P(k/s_hi < Y <= k/s_lo) = (2/pi) atan(k (s_hi - s_lo) / (s_lo s_hi + k^2))``
+    over integers k, and the continuous maximum sits at ``k^2 = s_lo s_hi``.
+    """
+    k = math.floor(math.sqrt(s_lo * s_hi)) + np.arange(-2.0, 4.0)
+    k = k[k >= 0]
+    return float(np.max(2.0 / math.pi * np.arctan(k * (s_hi - s_lo) / (s_lo * s_hi + k * k))))
+
+
+def test_heavy_tail_merge_frequency_matches_overlap():
+    # the crossing sits at k = sqrt(1000 * 1500); a search over the far tail
+    # used to land near 1e13, where dtv ~ 0, and merge every draw
+    law1, law2 = lc.DiscretizedLaw(HC, 1000.0), lc.DiscretizedLaw(HC, 1500.0)
+    n = 100_000
+    _, _, merged = lc.coupled_draw(law1, law2, np.random.default_rng(31), size=n)
+    tv = lc.tv_distance(law1, law2)
+    assert tv == pytest.approx(_hc_tv(1000.0, 1500.0), abs=1e-15)
+    assert abs(merged.mean() - (1 - tv)) <= 5 * math.sqrt(tv * (1 - tv) / n)
+
+
+def test_heavy_tail_merge_frequency_random_scale_pairs():
+    rng = np.random.default_rng(41)
+    n = 10_000
+    for _ in range(300):
+        s_lo = float(np.exp(rng.uniform(0.0, 12.0)))
+        s_hi = s_lo * float(np.exp(rng.uniform(0.0, 1.0)))
+        _, _, merged = lc.coupled_draw(lc.DiscretizedLaw(HC, s_lo), lc.DiscretizedLaw(HC, s_hi),
+                                       rng, size=n)
+        tv = _hc_tv(s_lo, s_hi)
+        assert abs(merged.mean() - (1 - tv)) <= 5 * math.sqrt(tv * (1 - tv) / n), (s_lo, s_hi)
+
+
+def test_heavy_tail_marginals_at_the_crossing():
+    lo, hi = lc.DiscretizedLaw(HC, 1000.0), lc.DiscretizedLaw(HC, 1500.0)
+    n = 100_000
+    x_hi, x_lo, _ = lc.coupled_draw(hi, lo, np.random.default_rng(32), size=n)
+    k = math.isqrt(1000 * 1500)  # floor of the crossing sqrt(s_lo s_hi)
+    for law, x in ((lo, x_lo), (hi, x_hi)):
+        f = float(law.cdf(k))
+        assert abs(np.mean(x <= k) - f) <= 5 * math.sqrt(f * (1 - f) / n), law.sigma
+
+
+def _mp_cdf(spec, t):
+    """CDF of the innovation in mpmath, from each family's closed form."""
+    if isinstance(spec, lc.Exponential):
+        return -mpmath.expm1(-spec.rate * t)
+    if isinstance(spec, lc.HalfNormal):
+        return mpmath.erf(t / (spec.scale * mpmath.sqrt(2)))
+    if isinstance(spec, lc.ChiSquare):
+        return mpmath.gammainc(mpmath.mpf(spec.df) / 2, 0, t / 2, regularized=True)
+    m, s = abs(spec.location), spec.scale
+    return (mpmath.atan((t - m) / s) + mpmath.atan((t + m) / s)) / mpmath.pi
+
+
+@pytest.mark.parametrize("spec", [EXP, HN, lc.ChiSquare(6), HC, lc.HalfCauchy(4.0, 1.0)], ids=str)
+def test_crossing_index_matches_mpmath(spec):
+    # exact smallest k with pmf_hi(k) >= pmf_lo(k) on floor(y*) +- 3; at the
+    # largest scale and the closest ratios the pmf differences there are
+    # below the rounding of sf, so these rows check the close-scale path
+    with mpmath.workdps(50):
+        for s_lo in (0.8, 13.0, 2.5e4):
+            for gap in (1e-9, 1e-6, 1e-3, 0.5, 1.7):
+                s_hi = s_lo * (1.0 + gap)
+                lo, hi = mpmath.mpf(s_lo), mpmath.mpf(s_hi)
+                k0 = math.floor(float(spec.crossing(s_lo, s_hi)))
+                exact = next(k for k in range(max(k0 - 3, 0), k0 + 4)
+                             if _mp_cdf(spec, (k + 1) / hi) - _mp_cdf(spec, k / hi)
+                             >= _mp_cdf(spec, (k + 1) / lo) - _mp_cdf(spec, k / lo))
+                got = _crossing_index(spec, np.array([s_lo]), np.array([s_hi]))
+                assert got[0] == exact, (s_lo, gap)
+
+
+@pytest.mark.parametrize("spec,counts", [
+    (EXP, [106, 55, 34, 19, 8, 4, 3, 0, 0, 0]),
+    (lc.ChiSquare(6), [116, 64, 39, 20, 11, 5, 4, 1, 0, 0]),
+], ids=["exp", "chi2"])
+def test_beta_chunk_counts_pinned(spec, counts):
+    # any change to the coupling that moves a single divergence count shows
+    # here, not only in the benchmark digests
+    params = lc.ModelParams(a=0.3, b=0.3, c=1.0, innovation=spec)
+    assert _beta_chunk(params, 5, 10, 5, 0, 0, 512).tolist() == counts
 
 
 def test_first_true_terminates_above_2_pow_53():

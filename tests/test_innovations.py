@@ -106,11 +106,55 @@ def test_half_cauchy_quantile_matches_mpmath(m, s):
     assert worst < 1e-14
 
 
-def test_half_cauchy_quantile_endpoints_without_warnings():
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_quantile_endpoints_no_warnings(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q = np.asarray(HC4.quantile(np.array([0.0, 1.0])))
-    assert q[0] == 0.0 and q[1] == math.inf
+        q = np.asarray(spec.quantile(np.array([0.0, 1.0])))
+        q0, q1 = float(spec.quantile(0.0)), float(spec.quantile(1.0))
+    assert q[0] == q0 == 0.0 and q[1] == q1 == math.inf
+
+
+CROSSING_SPECS = [EXP, HN_UNIT, lc.ChiSquare(6), HC0, HC4]
+RATIO_GAPS = [1e-9, 1e-6, 1e-3, 0.5, 1.7]
+
+
+def _mp_log_scaled_density(spec, sigma, y):
+    """ln(p(y/sigma)/sigma) in mpmath, written from each family's density formula."""
+    t = y / sigma
+    if isinstance(spec, lc.Exponential):
+        logp = mpmath.log(spec.rate) - spec.rate * t
+    elif isinstance(spec, lc.HalfNormal):
+        logp = mpmath.log(mpmath.sqrt(2 / mpmath.pi) / spec.scale) - t * t / (2 * spec.scale ** 2)
+    elif isinstance(spec, lc.ChiSquare):
+        h = mpmath.mpf(spec.df) / 2
+        logp = (h - 1) * mpmath.log(t) - t / 2 - h * mpmath.log(2) - mpmath.loggamma(h)
+    else:
+        logp = mpmath.log(_mp_density(abs(spec.location), spec.scale, t))
+    return logp - mpmath.log(sigma)
+
+
+@pytest.mark.parametrize("spec", CROSSING_SPECS, ids=str)
+def test_crossing_is_the_one_root_of_the_scaled_density_difference(spec):
+    # the log-density gap is positive near 0 and negative far out; a scan
+    # over twelve decades finds one sign change, and mpmath's root there is
+    # the closed form to rel 1e-12, down to scale ratios of 1 + 1e-9
+    with mpmath.workdps(50):
+        for s_lo in (0.4, 7.0, 300.0):
+            for gap in RATIO_GAPS:
+                s_hi = s_lo * (1.0 + gap)
+                lo, hi = mpmath.mpf(s_lo), mpmath.mpf(s_hi)
+
+                def f(y):
+                    return _mp_log_scaled_density(spec, lo, y) - _mp_log_scaled_density(spec, hi, y)
+
+                grid = [mpmath.mpf(s_lo) * mpmath.mpf(10) ** (e / 4) for e in range(-24, 25)]
+                signs = [f(y) > 0 for y in grid]
+                flips = [i for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
+                assert signs[0] and not signs[-1] and len(flips) == 1
+                root = mpmath.findroot(f, (grid[flips[0]], grid[flips[0] + 1]), solver="anderson")
+                got = float(spec.crossing(s_lo, s_hi))
+                assert got == pytest.approx(float(root), rel=1e-12), (s_lo, gap)
 
 
 @pytest.mark.parametrize("m,s", BUMPED_HC)
