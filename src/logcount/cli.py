@@ -75,6 +75,13 @@ def _cast(convert, value, what: str):
         raise ConfigError(f"invalid {what}: {value!r}") from None
 
 
+def _int(value) -> int:
+    """``int(value)``, except that a bool or a number with a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _array(value) -> list:
     """``value`` if it is a JSON array; a string would otherwise iterate by character."""
     if not isinstance(value, list):
@@ -111,7 +118,7 @@ def _seed_of(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:  # a bool is not a seed
         raise ConfigError("config 'seed' must be a non-negative integer")
     return seed
 
@@ -213,7 +220,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _require_keys(cfg, {"model", "n"}, set(), "simulate config")
     params = _model_from_config(cfg["model"])
-    n = _cast(int, cfg["n"], "'n'")
+    n = _cast(_int, cfg["n"], "'n'")
     seed = _seed_of(args, cfg)
     traj = simulate(params, n, seed)
     fit_info = ""
@@ -255,8 +262,8 @@ def _bootstrap_from_config(obj) -> BootstrapConfig:
         raise ConfigError("'bootstrap' must be an object")
     _require_keys(obj, {"l_n", "N_n", "B", "alpha"}, set(), "bootstrap config")
     return BootstrapConfig(l_n=_cast(float, obj["l_n"], "bootstrap 'l_n'"),
-                           N_n=_cast(int, obj["N_n"], "bootstrap 'N_n'"),
-                           B=_cast(int, obj["B"], "bootstrap 'B'"),
+                           N_n=_cast(_int, obj["N_n"], "bootstrap 'N_n'"),
+                           B=_cast(_int, obj["B"], "bootstrap 'B'"),
                            alpha=_cast(float, obj["alpha"], "bootstrap 'alpha'"))
 
 
@@ -285,12 +292,12 @@ def cmd_mc_boxplot(args) -> int:
     _require_keys(cfg, {"model", "n", "replicates"}, {"theta_bar_loops"}, "mc-boxplot config")
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
-    n_list = _cast(lambda v: [int(n) for n in (v if isinstance(v, list) else [v])],
+    n_list = _cast(lambda v: [_int(n) for n in (v if isinstance(v, list) else [v])],
                    cfg["n"], "'n'")
-    replicates = _cast(int, cfg["replicates"], "'replicates'")
+    replicates = _cast(_int, cfg["replicates"], "'replicates'")
     if replicates < 100:
         raise ConfigError(f"mc-boxplot needs at least 100 replicates, got {replicates}")
-    tb_loops = _cast(int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'")
+    tb_loops = _cast(_int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'")
     rows = []
     summary = {}
     for ni, n in enumerate(n_list):
@@ -324,14 +331,14 @@ def cmd_mixing(args) -> int:
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
     if "n_grid" in cfg:
-        n_grid = _cast(lambda v: [int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
+        n_grid = _cast(lambda v: [_int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
     elif "n_max" in cfg:
-        n_grid = list(range(1, _cast(int, cfg["n_max"], "'n_max'") + 1))
+        n_grid = list(range(1, _cast(_int, cfg["n_max"], "'n_max'") + 1))
     else:
         raise ConfigError("mixing config needs 'n_grid' or 'n_max'")
-    truncation = _cast(int, cfg.get("R", 50), "'R'")
-    res = estimate_beta(params, _cast(int, cfg["k"], "'k'"), n_grid, truncation,
-                        _cast(int, cfg["replicates"], "'replicates'"), seed,
+    truncation = _cast(_int, cfg.get("R", 50), "'R'")
+    res = estimate_beta(params, _cast(_int, cfg["k"], "'k'"), n_grid, truncation,
+                        _cast(_int, cfg["replicates"], "'replicates'"), seed,
                         threads=args.threads)
     slope = res.log_slope()
     extra = {
@@ -354,7 +361,7 @@ def cmd_coverage(args) -> int:
                         "mc_loops", "B"},
                   {"sigma0", "theta_bar_loops"}, "coverage config")
     seed = _seed_of(args, cfg)
-    cells = _cast(lambda v: [(float(l), int(w)) for l, w in map(_array, _array(v))],
+    cells = _cast(lambda v: [(float(l), _int(w)) for l, w in map(_array, _array(v))],
                   cfg["cells"], "'cells'")
     alphas = _cast(lambda v: [float(a) for a in _array(v)], cfg["alphas"], "'alphas'")
     model = {k: cfg[k] for k in ("a", "b", "c", "sigma0") if k in cfg}
@@ -362,10 +369,10 @@ def cmd_coverage(args) -> int:
     for fi, innov_obj in enumerate(_cast(_array, cfg["innovations"], "'innovations'")):
         params = _model_from_config({**model, "innovation": innov_obj})
         res = coverage_experiment(
-            params, _cast(int, cfg["n"], "'n'"), cells, alphas,
-            mc_loops=_cast(int, cfg["mc_loops"], "'mc_loops'"), B=_cast(int, cfg["B"], "'B'"),
+            params, _cast(_int, cfg["n"], "'n'"), cells, alphas,
+            mc_loops=_cast(_int, cfg["mc_loops"], "'mc_loops'"), B=_cast(_int, cfg["B"], "'B'"),
             master_seed=_rng.derive_seed(seed, _rng.NS_SIM, fi),
-            theta_bar_loops=_cast(int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'"),
+            theta_bar_loops=_cast(_int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'"),
             threads=args.threads,
         )
         rows.extend((c.l_n, c.N_n, params.innovation.family, c.alpha, c.coverage,

@@ -4,9 +4,9 @@ Two counts with the same innovation but different scales can be drawn from a
 single uniform so that (a) each has its exact marginal law, (b) they coincide
 with probability ``1 - d_TV`` (the maximum possible), and (c) the larger
 scale never produces the smaller count.  Every coupled draw, single or inside
-a chain experiment, goes through ``_scaled_coupled``, which places the one
-pmf crossing of the two laws next to the closed-form crossing of their
-scaled densities (``crossing`` of each innovation family); the explicit
+a chain experiment, goes through ``_scaled_coupled``, which takes the one
+pmf crossing of the two laws from ``innovations._crossing_index`` (built on
+the closed-form crossing of their scaled densities); the explicit
 pmf-table construction ``_dense_coupled`` is kept only as the exact oracle
 the tests compare it against.  Running two feedback chains with
 independent pasts and coupling them from a cut-off time onward turns the
@@ -17,13 +17,13 @@ the analytic geometric bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError, NumericError
-from .innovations import DENSE_MAX, DiscretizedLaw, _discrete_quantile
+from .innovations import DENSE_MAX, DiscretizedLaw, _crossing_index, _discrete_quantile
 from .process import (ModelParams, _evolve, _exo_term, _next_sigma, _theorem1_brace,
                       theorem1_bound, validate)
 
@@ -92,58 +92,6 @@ def _first_true(lo: np.ndarray, hi: np.ndarray, pred):
         lo = np.where(open_ & ~t, np.maximum(mid + 1.0, np.nextafter(mid, np.inf)), lo)
         hi = np.where(open_ & t, mid, hi)
     return lo
-
-
-# Below this relative scale gap the crossing test integrates the density
-NEAR_GAP = 1e-2
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    """8-point Gauss-Legendre rule on [-1, 1].
-
-    Built on first use: building it loads LAPACK, 0.75 MB of peak RSS that
-    commands without coupling never need.
-    """
-    return np.polynomial.legendre.leggauss(8)
-
-
-def _gap_mass(base, s_lo, s_hi, y):
-    """``P(y/s_hi < Y <= y/s_lo)`` for ``s_hi/s_lo - 1 <= NEAR_GAP``, to relative precision.
-
-    Gauss-Legendre on the short interval, its half-width formed from
-    ``s_hi - s_lo`` without cancellation.  Against mpmath it is within 5e-16
-    for the exponential, half-normal, chi-square(6) and half-Cauchy with a
-    location of up to 20 scales; it needs a density smooth on that interval.
-    """
-    nodes, weights = _gauss_legendre()
-    half = 0.5 * y * ((s_hi - s_lo) / s_lo) / s_hi
-    mid = 0.5 * (y / s_hi + y / s_lo)
-    return half * (base.density(mid[:, None] + half[:, None] * nodes) @ weights)
-
-
-def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    """Smallest k with pmf_hi(k) >= pmf_lo(k), for s_lo <= s_hi.
-
-    The scaled densities cross once, at ``y* = base.crossing(s_lo, s_hi)``,
-    so the index is k0 = floor(y*) if the high-scale mass wins on the cell
-    [k0, k0+1], else k0 + 1; a y* rounded across an integer leaves that cell
-    on one side of the true crossing, and the answer still holds.  The pmf
-    difference at k0 is ``G(k0) - G(k0+1)`` with ``G(y) = P(y/s_hi < Y <=
-    y/s_lo)``.  It shrinks like ``(s_hi/s_lo - 1) / y*^2``, below the
-    rounding of ``sf`` already at ratio - 1 ~ 1e-5 for y* ~ 2e5, so close
-    scales take ``G`` from ``_gap_mass``.  Equal scales give k0, and the
-    coupling then merges every draw.
-    """
-    k0 = np.floor(base.crossing(s_lo, s_hi))
-    near = s_hi - s_lo <= NEAR_GAP * s_lo
-    ge = np.empty(k0.shape, dtype=bool)
-    lo, hi, k = s_lo[~near], s_hi[~near], k0[~near]
-    # survival differences keep full relative precision deep in the tail
-    ge[~near] = base.sf(k / hi) - base.sf((k + 1.0) / hi) >= base.sf(k / lo) - base.sf((k + 1.0) / lo)
-    lo, hi, k = s_lo[near], s_hi[near], k0[near]
-    ge[near] = _gap_mass(base, lo, hi, k) >= _gap_mass(base, lo, hi, k + 1.0)
-    return np.where(ge, k0, k0 + 1.0)
 
 
 def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndarray):

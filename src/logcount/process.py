@@ -189,20 +189,20 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     kind; column t-1 is consumed at step t.
     """
     R = u_y.shape[0]
-    base = params.innovation
+    # neither the innovations nor the exogenous terms depend on the recursion
+    ys = params.innovation.quantile(u_y)
+    cs = np.zeros((R, n + 1))
+    if u_c is None:
+        cs[:, 1:] = [_exo_term(params, t, None) for t in range(1, n + 1)]
+    else:
+        cs[:, 1:] = params.exogenous.quantile(u_c)
     sig = np.empty((R, n + 1))
     xs = np.empty((R, n + 1))
-    ys = np.empty((R, n + 1))
-    cs = np.zeros((R, n + 1))
     sig[:, 0] = params.sigma0
-    ys[:, 0] = base.quantile(u_y[:, 0])
     xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
     for t in range(1, n + 1):
-        c_t = _exo_term(params, t, None if u_c is None else u_c[:, t - 1])
-        sig[:, t] = _next_sigma(params, t, sig[:, t - 1], xs[:, t - 1], c_t)
-        ys[:, t] = base.quantile(u_y[:, t])
+        sig[:, t] = _next_sigma(params, t, sig[:, t - 1], xs[:, t - 1], cs[:, t])
         xs[:, t] = np.floor(sig[:, t] * ys[:, t])
-        cs[:, t] = c_t
     return sig, xs, cs, ys
 
 

@@ -46,6 +46,17 @@ def test_tv_check_writes_family_column(tmp_path):
     assert rows and all(dict(zip(columns, r))["family"] == "exponential" for r in rows)
 
 
+def test_tv_check_half_cauchy_at_large_scales(tmp_path):
+    # the crossing of the two pmfs lies past the dense head of the summation
+    code, text = run(tmp_path, "tv-check", {
+        "innovation": {"family": "half_cauchy", "location": 0, "scale": 1}, "sigmas": [5e6, 6e6],
+    })
+    assert code == 0
+    columns, rows = table(text)
+    tv = [float(dict(zip(columns, r))["tv"]) for r in rows]
+    assert tv[1] == pytest.approx(0.0579545396717123, abs=1e-15)
+
+
 def test_mc_boxplot_summary_prints_plain_floats(tmp_path):
     code, text = run(tmp_path, "mc-boxplot", {
         "model": MODEL, "n": 30, "replicates": 100, "theta_bar_loops": 16,
@@ -87,6 +98,21 @@ def files(tmp_path_factory):
     ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": "12"}, 2),
     ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
                   "n": 60, "cells": ["25"], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    # a bool or a number with a fraction is not an integer
+    ("simulate", {"model": MODEL, "n": 5, "seed": True}, 2),
+    ("simulate", {"model": MODEL, "n": 2.9}, 2),
+    ("simulate", {"model": MODEL, "n": True}, 2),
+    ("ci", {"data": "{dir}/counts.csv", "bootstrap": {**BOOTSTRAP, "N_n": 5.5}}, 2),
+    ("ci", {"data": "{dir}/counts.csv", "bootstrap": {**BOOTSTRAP, "B": 50.5}}, 2),
+    ("mc-boxplot", {"model": MODEL, "n": [30.5], "replicates": 100}, 2),
+    ("mc-boxplot", {"model": MODEL, "n": 30, "replicates": 100.5}, 2),
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": [1.5]}, 2),
+    ("mixing", {"model": MODEL, "k": True, "replicates": 20, "n_max": 3}, 2),
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_max": 3, "R": 2.5}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [[2, 5.5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60.5, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

@@ -426,6 +426,76 @@ def test_tv_heavy_tail_base():
     assert val <= abs(math.log(1.5)) + 1e-9  # monotone density bound
 
 
+def _mp_half_cauchy_tv(spec, s_lo, s_hi):
+    """TV of two half-Cauchy scalings in mpmath: ``max_k P(k/s_hi < Y <= k/s_lo)``.
+
+    That difference of upper tails peaks at the crossing index, which lies
+    within a few integers of the density crossing ``y*``.
+    """
+    m, s = abs(spec.location), spec.scale
+    with mpmath.workdps(50):
+        def cdf(t):
+            return (mpmath.atan((t - m) / s) + mpmath.atan((t + m) / s)) / mpmath.pi
+        lo, hi = mpmath.mpf(s_lo), mpmath.mpf(s_hi)
+        k0 = math.floor(float(spec.crossing(s_lo, s_hi)))
+        return max(cdf(k / lo) - cdf(k / hi) for k in range(k0 - 3, k0 + 4))
+
+
+@pytest.mark.parametrize("spec,s_lo,s_hi", [
+    (HC0, 5e6, 6e6),
+    (HC0, 1e7, 1.5e7),
+    # the crossing, near 5.05e6, lies past the dense head of DENSE_MAX entries
+    (HC4, 1e6, 1.5e6),
+])
+def test_tv_heavy_tail_large_scales_match_mpmath(spec, s_lo, s_hi):
+    val = lc.tv_distance(lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, s_hi))
+    assert abs(val - _mp_half_cauchy_tv(spec, s_lo, s_hi)) <= 1e-15
+
+
+# tv_distance on the grid of the benchmark's tv-check, every pair
+# sigma <= sigma' of TV_GRID_SIGMAS in row order, pinned bit for bit
+TV_GRID_SIGMAS = [1, 2, 5, 10, 50, 200]
+TV_GRID_PINNED = [
+    (EXP, [
+        0.0, 0.23865121854119112, 0.5349847627990265, 0.6910311523138538, 0.9048007074979014,
+        0.968571965029247, 0.0, 0.32568147594559665, 0.5349847627990264, 0.8391608519764873,
+        0.9448884852948576, 0.0, 0.24998833984980307, 0.6967780075892324, 0.8870021626120657, 0.0,
+        0.5349847627990266, 0.8113815849878452, 0.0, 0.47246621940000516, 0.0,
+    ]),
+    (HN_UNIT, [
+        0.0, 0.3143971339606261, 0.6390695204325316, 0.7941407904195952, 0.9476898076319293,
+        0.9858529711617576, 0.0, 0.4127330843176492, 0.6438613694515676, 0.9070406977401188,
+        0.9731243577321378, 0.0, 0.32175037655564787, 0.797740207729602, 0.9392571884399583, 0.0,
+        0.6471131896174617, 0.8881930503618709, 0.0, 0.5817611930532998, 0.0,
+    ]),
+    (HC0, [
+        0.0, 0.20483276469913342, 0.46259488151744654, 0.6096200771453819, 0.8211143027946963,
+        0.9101134475479526, 0.0, 0.281624177132741, 0.4625948815174467, 0.7486681672439952,
+        0.8730979302777863, 0.0, 0.21633668899407726, 0.6100144859853526, 0.8003229325406382, 0.0,
+        0.46451723029685227, 0.7198978755447631, 0.0, 0.40966552939826695, 0.0,
+    ]),
+    (HC4, [
+        0.0, 0.6158581002198799, 0.8312767467909722, 0.8925284620055562, 0.9555088292919034,
+        0.9780627583067225, 0.0, 0.6990901604157354, 0.8312767467909722, 0.9358817680394538,
+        0.9688318764537076, 0.0, 0.6171760315541217, 0.8925284620055557, 0.9500241828105782, 0.0,
+        0.831424753747126, 0.9276277807264935, 0.0, 0.800886307463999, 0.0,
+    ]),
+    (lc.ChiSquare(6), [
+        0.0, 0.43857311062951904, 0.8175182943669711, 0.9392378451985217, 0.9975511720712098,
+        0.9999033088056695, 0.0, 0.5570430150293764, 0.8175182943669711, 0.9893042724172345,
+        0.9994941363162881, 0.0, 0.43939336485897146, 0.939429696683943, 0.9960131890868327, 0.0,
+        0.8175365567546645, 0.9832756602232917, 0.0, 0.7511758477744548, 0.0,
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec,expected", TV_GRID_PINNED, ids=[str(s) for s, _ in TV_GRID_PINNED])
+def test_tv_grid_values_pinned(spec, expected):
+    got = [lc.tv_distance(lc.DiscretizedLaw(spec, float(a)), lc.DiscretizedLaw(spec, float(b)))
+           for i, a in enumerate(TV_GRID_SIGMAS) for b in TV_GRID_SIGMAS[i:]]
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
 def test_tv_bound_check_report():
     report = lc.tv_bound_check(EXP, [0.5, 1, 2, 4, 8])
     assert report.big_gamma == 1.0
