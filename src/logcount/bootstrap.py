@@ -40,8 +40,7 @@ class BootstrapConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (self.l_n > 0 and math.isfinite(self.l_n)):
-            raise ConfigError(f"l_n must be positive, got {self.l_n}")
+        _check_l_n(self.l_n)
         if self.N_n < 1:
             raise ConfigError(f"N_n must be >= 1, got {self.N_n}")
         if self.B < 1:
@@ -83,25 +82,76 @@ class ConfidenceInterval:
     half_width: float
 
 
+def _check_l_n(l_n: float) -> None:
+    if not (l_n > 0 and math.isfinite(l_n)):
+        raise ConfigError(f"l_n must be positive and finite, got {l_n}")
+
+
+# Elements in one block of multiplier rows (8 MB of float64), so the draws of
+# ``t_star`` and ``coverage_experiment`` take O(n) memory whatever B is.
+BLOCK_ELEMENTS = 2**20
+
+
 def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int] = None):
     """AR(1) Gaussian multiplier paths with covariance exp(-|s-t|/l_n).
 
     The first value is standard normal and each step applies
     ``W_t = exp(-1/l_n) W_{t-1} + sqrt(1 - exp(-2/l_n)) eps_t``; every
-    marginal is standard normal.  Shape (n,) or (size, n).
+    marginal is standard normal.  Shape (n,) or (size, n).  This draws every
+    path in one call; the bootstrap statistics stream the same paths in row
+    blocks (``_draws``).
     """
-    if not l_n > 0:
-        raise ConfigError("l_n must be positive")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    _check_l_n(l_n)
     w = _ar1_filter(rng.standard_normal((1 if size is None else size, n)), l_n)
     return w[0] if size is None else w
 
 
-def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
-    """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n)."""
+def _ar1_filter(eps: np.ndarray, l_n: float, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n).
+
+    ``v``, if given, receives the scaled innovations instead of a new array.
+    """
     phi = math.exp(-1.0 / l_n)
-    v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
+    v = np.multiply(math.sqrt(-math.expm1(-2.0 / l_n)), eps, out=v)
     v[:, 0] = eps[:, 0]  # unit-variance start
     return lfilter([1.0], [1.0, -phi], v, axis=1)
+
+
+def _draws(n: int, B: int):
+    """Kernel ``draw(rng, l_ns, ds)``: ``w @ d`` for B multiplier paths w of length n.
+
+    The result has shape (len(l_ns), len(ds), B); every l_n filters the same
+    normals.  Rows are drawn in consecutive blocks of about ``BLOCK_ELEMENTS``
+    elements and equal ``multipliers(n, l_n, rng, size=B) @ d`` bit for bit:
+    the stream runs on across ``standard_normal`` calls, ``lfilter`` works
+    row by row, and BLAS gemv gives a row the same bits in any block whose
+    per-thread share of rows is a multiple of 4 (16-row multiples serve up to
+    4 threads; a short last block matches wherever the one (B, n) product is
+    itself independent of the thread count).  Two row buffers serve every
+    call, so the loops of a coverage chunk reuse their pages; fresh arrays
+    per loop went back to the OS on free and cost about 1900 page faults per
+    loop at n = B = 500.
+    """
+    rows = max(16, BLOCK_ELEMENTS // n // 16 * 16)
+    eps_buf = np.empty((min(rows, B), n))
+    v_buf = np.empty_like(eps_buf)
+
+    def draw(rng: np.random.Generator, l_ns: Sequence[float],
+             ds: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.empty((len(l_ns), len(ds), B))
+        for r0 in range(0, B, rows):
+            eps = eps_buf[:min(rows, B - r0)]
+            rng.standard_normal(out=eps)
+            for li, l_n in enumerate(l_ns):
+                w = _ar1_filter(eps, l_n, v_buf[:len(eps)])
+                for di, d in enumerate(ds):
+                    out[li, di, r0:r0 + len(w)] = w @ d
+                del w  # free the paths before the next lfilter allocates its own
+        return out
+
+    return draw
 
 
 def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
@@ -116,10 +166,9 @@ def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
     fresh multiplier paths.  Scalar unless ``size`` is given."""
     d = _summands(fit, cfg.N_n)
     if multiplier_draws is None:
-        w = multipliers(fit.n, cfg.l_n, rng, size=size if size is not None else 1)
+        vals = _draws(fit.n, 1 if size is None else size)(rng, (cfg.l_n,), (d,))[0, 0]
     else:
-        w = np.atleast_2d(np.asarray(multiplier_draws, dtype=float))
-    vals = w @ d
+        vals = np.atleast_2d(np.asarray(multiplier_draws, dtype=float)) @ d
     return float(vals[0]) if size is None else vals
 
 
@@ -197,18 +246,16 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
     (per N_n) differ.  This keeps the per-alpha intervals nested exactly.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
+    l_ns = list(dict.fromkeys(l_n for l_n, _ in cells))
+    nns = list(dict.fromkeys(N_n for _, N_n in cells))
+    draw = _draws(n, B)
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
     for i in range(lo, hi):
         fit = theta_hat(xs[i - lo, 1:])
-        eps = _rng.stream(master_seed, _rng.NS_BOOT, i).standard_normal((B, n))
-        w_by_ln: dict[float, np.ndarray] = {}
-        d_by_nn: dict[int, np.ndarray] = {}
+        rng = _rng.stream(master_seed, _rng.NS_BOOT, i)
+        by_cell = draw(rng, l_ns, [_summands(fit, N_n) for N_n in nns])
         for ci, (l_n, N_n) in enumerate(cells):
-            if l_n not in w_by_ln:
-                w_by_ln[l_n] = _ar1_filter(eps, l_n)
-            if N_n not in d_by_nn:
-                d_by_nn[N_n] = _summands(fit, N_n)
-            draws = w_by_ln[l_n] @ d_by_nn[N_n]
+            draws = by_cell[l_ns.index(l_n), nns.index(N_n)]
             for ai, alpha in enumerate(alphas):
                 ci_obj = _interval_from_draws(fit, draws, alpha)
                 if ci_obj.lower <= theta_bar <= ci_obj.upper:

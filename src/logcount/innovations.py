@@ -487,8 +487,8 @@ def _discrete_quantile(base: InnovationSpec, sigma, u):
 def _gauss_legendre():
     """8-point Gauss-Legendre rule on [-1, 1].
 
-    Built on first use: building it loads LAPACK, 0.75 MB of peak RSS that
-    commands that never take a crossing index do not need.
+    Built on first use, by the first close-scale crossing index: building it
+    loads LAPACK, 0.75 MB of peak RSS that other commands do not need.
     """
     return np.polynomial.legendre.leggauss(8)
 
@@ -526,8 +526,9 @@ def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
     lo, hi, k = s_lo[~near], s_hi[~near], k0[~near]
     # survival differences keep full relative precision deep in the tail
     ge[~near] = base.sf(k / hi) - base.sf((k + 1.0) / hi) >= base.sf(k / lo) - base.sf((k + 1.0) / lo)
-    lo, hi, k = s_lo[near], s_hi[near], k0[near]
-    ge[near] = _gap_mass(base, lo, hi, k) >= _gap_mass(base, lo, hi, k + 1.0)
+    if near.any():
+        lo, hi, k = s_lo[near], s_hi[near], k0[near]
+        ge[near] = _gap_mass(base, lo, hi, k) >= _gap_mass(base, lo, hi, k + 1.0)
     return np.where(ge, k0, k0 + 1.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def test_multiplier_unit_marginal_variance():
     assert np.all(np.abs(per_t_var - 1.0) < 5 * math.sqrt(2 / 4000))
 
 
+@pytest.mark.parametrize("n, l_n", [(0, 5.0), (-3, 5.0), (5, math.inf), (5, math.nan),
+                                     (5, 0.0), (5, -1.0)])
+def test_multipliers_reject_bad_input(n, l_n):
+    with pytest.raises(ConfigError):
+        lc.multipliers(n, l_n, np.random.default_rng(0))
+
+
 def test_multiplier_covariance_matrix_spd():
     n, l_n = 200, 12.0
     t = np.arange(n)
@@ -68,6 +76,18 @@ def test_t_star_zero_multipliers():
     val = lc.t_star(fit, cfg, np.random.default_rng(0),
                     multiplier_draws=np.zeros((1, 200)))
     assert float(np.asarray(val).ravel()[0]) == 0.0
+
+
+@pytest.mark.parametrize("n, B", [(20_000, 200), (500, 500), (1000, 199)])
+def test_t_star_rows_match_one_call_multipliers(n, B):
+    # the row blocks of t_star give every draw the bits of one (B, n) product
+    fit = lc.theta_hat(lc.simulate(PARAMS, n, 11).counts())
+    cfg = lc.BootstrapConfig(l_n=10, N_n=30, B=B, alpha=0.1)
+    x = fit.series_transformed
+    d = lc.trend_weights(n) * (x - lc.nn_means(x, cfg.N_n))
+    want = lc.multipliers(n, cfg.l_n, np.random.default_rng(12), size=B) @ d
+    got = lc.t_star(fit, cfg, np.random.default_rng(12), size=B)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_t_star_constant_series():
@@ -142,6 +162,22 @@ def test_interval_contract():
     hw = ci.u_star / (math.sqrt(fit.n) * math.log(fit.n))
     assert ci.half_width == pytest.approx(hw, rel=1e-12)
     assert ci.lower == pytest.approx(fit.theta_hat - hw, rel=1e-12)
+
+
+def test_interval_memory_does_not_grow_with_b():
+    # the multiplier paths stream in row blocks: O(n) memory, not O(B n)
+    x = np.random.default_rng(2).poisson(3.0 + np.log1p(np.arange(20_000)))
+    peaks = []
+    for B in (400, 1600):
+        cfg = lc.BootstrapConfig(l_n=5, N_n=10, B=B, alpha=0.1)
+        tracemalloc.start()
+        try:
+            lc.confidence_interval(x, cfg, master_seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 64.0
+    assert max(peaks) <= 1.1 * min(peaks)
 
 
 def test_interval_nesting_in_alpha():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -405,6 +409,20 @@ def test_tv_direct_summation_oracle():
     k = np.arange(0, 4000)
     oracle = 0.5 * np.abs((1 - p1) ** k * p1 - (1 - p2) ** k * p2).sum()
     assert lc.tv_distance(law1, law2) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_tv_far_scales_skip_quadrature_rule():
+    # the Gauss-Legendre rule (and LAPACK) is built only for close scales
+    code = ("import logcount as lc, logcount.innovations as inv\n"
+            "hc = lc.HalfCauchy(0.0, 1.0)\n"
+            "lc.tv_distance(lc.DiscretizedLaw(hc, 1.0), lc.DiscretizedLaw(hc, 2.0))\n"
+            "print(inv._gauss_legendre.cache_info().misses)\n")
+    src = str(Path(lc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 def test_tv_symmetric():
