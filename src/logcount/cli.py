@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -31,6 +32,9 @@ from .innovations import compute_constants, innovation_from_json, tv_bound_check
 from .process import ExogenousSpec, ModelParams, simulate
 
 SCHEMA = "logcount/v1"
+
+# Rows formatted and written at a time by _write_csv.
+CSV_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +153,48 @@ def _header_lines(command: str, seed: int, cfg: dict, extra: Optional[dict] = No
     return lines
 
 
-def _write_text(path: Optional[str], text: str):
-    """Write an output to ``path``, or to stdout when no path is given."""
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """A text handle on ``path``, or stdout when no path is given."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
     with fh:
-        fh.write(text)
+        yield fh
 
 
-def _write_csv(path: Optional[str], header_lines: list[str], columns: list[str], rows):
-    out = [*header_lines, ",".join(columns)]
-    out.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(out) + "\n")
+def _fmt_column(col) -> list[str]:
+    """``_fmt`` of every entry of ``col``, in one pass for a numeric array."""
+    if not isinstance(col, np.ndarray) or col.dtype.kind not in "iuf":
+        return [_fmt(v) for v in col]
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    f = col.astype(float, copy=False)
+    whole = np.isfinite(f) & (np.abs(f) < 2**53) & (f == np.trunc(f))
+    out = np.empty(len(f), dtype=object)
+    out[whole] = list(map(str, f[whole].astype(np.int64).tolist()))
+    out[~whole] = list(map(repr, f[~whole].tolist()))
+    return out.tolist()
+
+
+def _write_csv(path: Optional[str], header_lines: list[str], names: list[str], columns):
+    """Write a CSV from equal-length columns (arrays or sequences).
+
+    Rows go out in blocks of ``CSV_BLOCK_ROWS``: each block is formatted
+    column by column with ``_fmt_column`` and written to the handle, so no
+    whole-file string and no full-length string column is built, and the
+    bytes never depend on the block size.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    with _output(path) as fh:
+        fh.write("\n".join([*header_lines, ",".join(names)]) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [_fmt_column(col[lo:lo + CSV_BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _write_json(path: Optional[str], command: str, seed: int, cfg: dict, result: dict):
@@ -177,7 +206,8 @@ def _write_json(path: Optional[str], command: str, seed: int, cfg: dict, result:
         "config": cfg,
         "result": result,
     }
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _output(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _read_counts(path: str) -> np.ndarray:
@@ -186,7 +216,7 @@ def _read_counts(path: str) -> np.ndarray:
     header_allowed = True
     try:
         # undecodable bytes become U+FFFD and fail as non-numeric rows
-        fh = open(_cast(os.fspath, path, "'data'"), "r", encoding="utf-8", errors="replace")
+        fh = open(_cast(os.fspath, path, "'data'"), "r", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc.strerror}") from None
     with fh:
@@ -226,9 +256,8 @@ def cmd_simulate(args) -> int:
     fit_info = ""
     if n >= 2:
         fit_info = f", theta_hat={theta_hat(traj.counts()).theta_hat:.6g}"
-    rows = zip(range(n + 1), traj.sigma, traj.x, traj.c_exo)
-    _write_csv(args.out, _header_lines("simulate", seed, cfg),
-               ["t", "sigma", "x", "c_exo"], rows)
+    _write_csv(args.out, _header_lines("simulate", seed, cfg), ["t", "sigma", "x", "c_exo"],
+               [np.arange(n + 1), traj.sigma, traj.x, traj.c_exo])
     print(f"simulate: n={n}, final sigma={traj.sigma[-1]:.6g}, "
           f"max x={int(traj.x.max())}{fit_info}", file=sys.stderr)
     return 0
@@ -251,7 +280,7 @@ def cmd_fit(args) -> int:
         t = np.arange(1, fit.n + 1, dtype=float)
         curve = t ** fit.theta_hat
         _write_csv(_cast(os.fspath, cfg["curve_out"], "'curve_out'"), _header_lines("fit", seed, cfg),
-                   ["t", "x", "trend"], zip(t, x, curve))
+                   ["t", "x", "trend"], [t, x, curve])
         result["curve_out"] = cfg["curve_out"]
     _write_json(args.out, "fit", seed, cfg, result)
     return 0
@@ -298,7 +327,7 @@ def cmd_mc_boxplot(args) -> int:
     if replicates < 100:
         raise ConfigError(f"mc-boxplot needs at least 100 replicates, got {replicates}")
     tb_loops = _cast(_int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'")
-    rows = []
+    thetas_by_n = []
     summary = {}
     for ni, n in enumerate(n_list):
         tb = theta_bar_mc(params, n, tb_loops, _rng.derive_seed(seed, _rng.NS_TARGET, ni),
@@ -309,7 +338,7 @@ def cmd_mc_boxplot(args) -> int:
         lo_wh = float(thetas[thetas >= q1 - 1.5 * (q3 - q1)].min())
         hi_wh = float(thetas[thetas <= q3 + 1.5 * (q3 - q1)].max())
         summary[n] = (tb.theta_bar, q1, med, q3, lo_wh, hi_wh)
-        rows.extend((n, r, th) for r, th in enumerate(thetas))
+        thetas_by_n.append(thetas)
     extra = {}
     for n, (tb_val, q1, med, q3, lo_wh, hi_wh) in summary.items():
         extra[f"summary_n{n}"] = (
@@ -317,7 +346,10 @@ def cmd_mc_boxplot(args) -> int:
             f"whisker_low={lo_wh!r} whisker_high={hi_wh!r}"
         )
     _write_csv(args.out, _header_lines("mc-boxplot", seed, cfg, extra),
-               ["n", "replicate", "theta_hat"], rows)
+               ["n", "replicate", "theta_hat"],
+               [np.repeat(np.array(n_list, dtype=np.int64), replicates),
+                np.tile(np.arange(replicates), len(n_list)),
+                np.concatenate([np.empty(0), *thetas_by_n])])
     for n, (tb_val, q1, med, q3, *_ ) in summary.items():
         print(f"mc-boxplot n={n}: theta_bar={tb_val:.5f} median={med:.5f} IQR={q3 - q1:.5f}",
               file=sys.stderr)
@@ -347,9 +379,9 @@ def cmd_mixing(args) -> int:
         "R": res.truncation,
         "log_slope": "nan" if slope is None else repr(slope),
     }
-    rows = zip(res.horizons, res.beta_hat, res.stderr, res.theorem_bound, res.truncation_bound)
     _write_csv(args.out, _header_lines("mixing", seed, cfg, extra),
-               ["n", "beta_hat", "stderr", "theorem_bound", "truncation_bound"], rows)
+               ["n", "beta_hat", "stderr", "theorem_bound", "truncation_bound"],
+               [res.horizons, res.beta_hat, res.stderr, res.theorem_bound, res.truncation_bound])
     print(f"mixing: k={res.k} R={res.truncation} replicates={res.replicates} "
           f"log_slope={slope}", file=sys.stderr)
     return 0
@@ -378,7 +410,7 @@ def cmd_coverage(args) -> int:
         rows.extend((c.l_n, c.N_n, params.innovation.family, c.alpha, c.coverage,
                      c.mc_loops, c.B) for c in res)
     _write_csv(args.out, _header_lines("coverage", seed, cfg),
-               ["l_n", "N_n", "family", "alpha", "coverage", "mc_loops", "B"], rows)
+               ["l_n", "N_n", "family", "alpha", "coverage", "mc_loops", "B"], list(zip(*rows)))
     return 0
 
 
@@ -402,7 +434,7 @@ def cmd_tv_check(args) -> int:
         print(f"tv-check {spec.family}: pairs={len(report.rows)} "
               f"min_slack={report.min_slack:.3g}", file=sys.stderr)
     _write_csv(args.out, _header_lines("tv-check", seed, cfg),
-               ["family", "sigma", "sigma_prime", "tv", "bound", "slack"], rows)
+               ["family", "sigma", "sigma_prime", "tv", "bound", "slack"], list(zip(*rows)))
     return 0
 
 

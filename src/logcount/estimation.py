@@ -151,6 +151,8 @@ def ensemble_theta_hats(params: ModelParams, n: int, replicates: int, master_see
     validate(params)
     if n < 2:
         raise ConfigError(f"need at least 2 observations to fit a trend, got {n}")
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     worker = partial(_theta_chunk, params, n, master_seed)
     parts = _rng.run_chunks(worker, replicates, threads)
     return np.concatenate(parts)
@@ -188,6 +190,8 @@ def mean_log_curve(params: ModelParams, n: int, replicates: int, master_seed: in
     differences, the right yardstick for monotonicity checks.
     """
     validate(params)
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     worker = partial(_curve_chunk, params, n, master_seed)
     parts = _rng.run_chunks(worker, replicates, threads)
     s1 = sum(p[0] for p in parts)

@@ -155,9 +155,14 @@ def _exo_term(params: ModelParams, t: int, u_c):
     return params.exogenous.quantile(u_c)
 
 
+def _log_sigma(params: ModelParams, sigma_prev, x_prev, c_t):
+    """ln(sigma_t) of the recursion, for a scalar or per replicate."""
+    return params.a * np.log(sigma_prev) + params.b * np.log1p(x_prev) + c_t
+
+
 def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
     """sigma_t of the recursion (scalar or per replicate); ExplosionError past the limit."""
-    log_sigma = params.a * np.log(sigma_prev) + params.b * np.log1p(x_prev) + c_t
+    log_sigma = _log_sigma(params, sigma_prev, x_prev, c_t)
     bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
     if np.any(bad):
         raise ExplosionError(t, float(np.ravel(log_sigma)[np.argmax(bad)]))
@@ -171,8 +176,12 @@ def step(sigma_prev: float, x_prev: float, t: int, params: ModelParams,
     For the iid exogenous kind the generator is consumed in the order
     (exogenous draw, innovation draw).
     """
-    if not sigma_prev > 0:
-        raise ConfigError(f"sigma_prev must be positive, got {sigma_prev}")
+    if not (sigma_prev > 0 and math.isfinite(sigma_prev)):
+        raise ConfigError(f"sigma_prev must be finite and positive, got {sigma_prev}")
+    if not (x_prev >= 0 and math.isfinite(x_prev) and x_prev == math.floor(x_prev)):
+        raise ConfigError(f"x_prev must be a non-negative integer count, got {x_prev}")
+    if not t >= 1:
+        raise ConfigError(f"step index t must be >= 1, got {t}")
     u_c = rng.random() if params.exogenous.kind == "iid" else None
     c_val = float(_exo_term(params, t, u_c))
     sigma_t = float(_next_sigma(params, t, sigma_prev, x_prev, c_val))
@@ -182,11 +191,20 @@ def step(sigma_prev: float, x_prev: float, t: int, params: ModelParams,
 
 
 def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarray] = None):
-    """Vectorized recursion over replicates.
+    """The recursion over R replicates, in one loop for every R.
 
     u_y has shape (R, n+1): column 0 seeds X_0 ~ law(sigma0), column t the
     innovation of step t.  u_c (R, n) supplies exogenous draws for the iid
     kind; column t-1 is consumed at step t.
+
+    Step t reads element t of views of the (R, n+1) matrices, never copies:
+    at R = 1 the rows, so it steps numpy scalars; at R > 1 the transposes,
+    so it steps one column of replicates.  The loop stores ln(sigma_t) in
+    ``sig``; after it, one check finds the earliest t past LOG_SIGMA_LIMIT
+    (and the first replicate at that t), and one ``np.exp`` turns columns
+    1..n into sigma.  Every transcendental is a numpy ufunc, which gives the
+    same bits on a scalar, a contiguous and a strided array, so a replicate's
+    path never depends on R or on the block it runs in.
     """
     R = u_y.shape[0]
     # neither the innovations nor the exogenous terms depend on the recursion
@@ -200,9 +218,23 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     xs = np.empty((R, n + 1))
     sig[:, 0] = params.sigma0
     xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
-    for t in range(1, n + 1):
-        sig[:, t] = _next_sigma(params, t, sig[:, t - 1], xs[:, t - 1], cs[:, t])
-        xs[:, t] = np.floor(sig[:, t] * ys[:, t])
+    # column 0 keeps sigma0 itself; columns 1..n hold ln(sigma_t) until the exp below
+    log_sig, x, c, y = (a[0] if R == 1 else a.T for a in (sig, xs, cs, ys))
+    sigma = log_sig[0]
+    # past an explosion the loop steps inf and nan silently; the check below reports it
+    with np.errstate(all="ignore"):
+        for t in range(1, n + 1):
+            log_sig[t] = ls = _log_sigma(params, sigma, x[t - 1], c[t])
+            sigma = np.exp(ls)
+            x[t] = np.floor(sigma * y[t])
+    body = sig[:, 1:]
+    # fmax/fmin skip the NaNs that can follow an explosion, as the limit test does
+    if (np.fmax.reduce(body, axis=None, initial=-np.inf) > LOG_SIGMA_LIMIT
+            or np.fmin.reduce(body, axis=None, initial=np.inf) < -LOG_SIGMA_LIMIT):
+        bad = np.abs(body) > LOG_SIGMA_LIMIT
+        t = int(bad.any(axis=0).argmax())
+        raise ExplosionError(t + 1, float(body[bad[:, t].argmax(), t]))
+    np.exp(body, out=body)
     return sig, xs, cs, ys
 
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcount import cli
+from logcount.process import simulate
 
 MODEL = {"a": 0.1, "b": 0.1, "c": 2, "innovation": {"family": "exponential"}}
 BOOTSTRAP = {"l_n": 2, "N_n": 5, "B": 50, "alpha": 0.1}
@@ -67,6 +69,42 @@ def test_mc_boxplot_summary_prints_plain_floats(tmp_path):
     fields = dict(item.split("=") for item in summary.split(": ", 1)[1].split())
     assert set(fields) == {"theta_bar", "q1", "median", "q3", "whisker_low", "whisker_high"}
     assert float(fields["q1"]) <= float(fields["median"]) <= float(fields["q3"])
+
+
+def test_column_formatter_follows_fmt():
+    floats = [0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), float("inf"),
+              float("-inf"), float("nan"), 5e-324, 1e16, 1e15 + 0.5, 0.1, -2.5, 1 / 3, 7.0]
+    ints = [0, -5, 2**63 - 1, -(2**63)]
+    mixed = [np.int64(7), 2**64 + 1, "exponential", 2.5, np.float64(3.0), True]
+    for col in (np.array(floats), np.array(floats, dtype=np.float32), np.array(ints),
+                np.array([2**64 - 1], dtype=np.uint64), mixed, tuple(floats)):
+        assert cli._fmt_column(col) == [cli._fmt(v) for v in col]
+
+
+def _row_by_row(header_lines, names, columns):
+    """The CSV as one string, each cell formatted by ``_fmt``."""
+    lines = [*header_lines, ",".join(names)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [7, cli.CSV_BLOCK_ROWS])
+def test_csv_longer_than_a_block_matches_row_by_row(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    n = 2 * cli.CSV_BLOCK_ROWS + 5
+    config = {"model": MODEL, "n": n, "seed": 4}
+    assert run(tmp_path, "simulate", config)[0] == 0
+    traj = simulate(cli._model_from_config(MODEL), n, 4)
+    expected = _row_by_row(cli._header_lines("simulate", 4, config), ["t", "sigma", "x", "c_exo"],
+                           [range(n + 1), traj.sigma, traj.x, traj.c_exo])
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("header", ["", "count\n"])
+def test_byte_order_mark_does_not_drop_a_count(tmp_path, header):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + header + "5\n7\n9\n").encode("utf-8"))
+    assert cli._read_counts(str(path)).tolist() == [5, 7, 9]
 
 
 @pytest.fixture(scope="module")

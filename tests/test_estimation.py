@@ -145,6 +145,16 @@ def test_theta_bar_single_loop_equals_that_replicate():
     assert tb.stderr == 0.0
 
 
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_zero_replicates_is_a_config_error(replicates):
+    with pytest.raises(ConfigError, match="replicates"):
+        lc.ensemble_theta_hats(PARAMS, 60, replicates, 1)
+    with pytest.raises(ConfigError, match="replicates"):
+        lc.mean_log_curve(PARAMS, 60, replicates, 1)
+    with pytest.raises(ConfigError, match="mc_loops"):
+        lc.theta_bar_mc(PARAMS, 60, replicates, 1)
+
+
 def test_theta_bar_near_nominal_trend():
     tb = lc.theta_bar_mc(PARAMS, 500, 2000, 31415)
     assert 2.3 <= tb.theta_bar <= 2.7

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import logcount as lc
-from logcount.errors import ConfigError, ExplosionError
+from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
 from logcount.process import simulate_replicate_block
+from logcount.rng import stream, uniform_rows
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -85,8 +86,13 @@ def test_step_arithmetic_oracle():
 
 
 def test_step_rejects_bad_state():
-    with pytest.raises(ConfigError):
-        lc.step(0.0, 3, 2, PARAMS, np.random.default_rng(0))
+    # sigma_prev finite and positive, x_prev a finite non-negative integer, t >= 1
+    for sigma_prev, x_prev, t in [
+            (0.0, 3, 2), (-1.0, 3, 2), (math.inf, 3, 2), (math.nan, 3, 2),
+            (1.0, -2, 2), (1.0, -1, 2), (1.0, math.nan, 2), (1.0, math.inf, 2), (1.0, 2.5, 2),
+            (math.inf, -1, 2), (1.0, 3, 0), (1.0, 3, -4)]:
+        with pytest.raises(ConfigError):
+            lc.step(sigma_prev, x_prev, t, PARAMS, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +153,46 @@ def test_simulate_iid_exogenous_runs():
     assert np.std(traj.c_exo[1:]) > 0  # genuinely random exogenous terms
 
 
-@pytest.mark.parametrize("params", [PARAMS, IID_PARAMS], ids=["trend", "iid"])
-def test_replicate_does_not_depend_on_its_block(params):
-    # replicate r is drawn from its own stream, whichever chunk it runs in
+# at n = 2000 the scalar steps (a block of one) and the column steps run long paths
+BLOCK_CASES = {"trend": (PARAMS, 40), "iid": (IID_PARAMS, 40), **{
+    f"{innovation.family}-2000": (lc.ModelParams(a=0.2, b=0.1, c=0.5, innovation=innovation), 2000)
+    for innovation in (EXP, lc.HalfCauchy(4, 1), lc.ChiSquare(6))}}
+
+
+@pytest.mark.parametrize("params, n", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_replicate_does_not_depend_on_its_block(params, n):
+    # replicate r is drawn from its own stream, whichever chunk it runs in; a
+    # block of one steps scalars and a wider block steps columns, bit for bit alike
     lo, hi = 7, 19
-    sig, xs = simulate_replicate_block(params, 40, 2024, lo, hi)
-    assert sig.shape == xs.shape == (hi - lo, 41)
+    sig, xs = simulate_replicate_block(params, n, 2024, lo, hi)
+    assert sig.shape == xs.shape == (hi - lo, n + 1)
     for i in range(hi - lo):
-        sig_1, xs_1 = simulate_replicate_block(params, 40, 2024, lo + i, lo + i + 1)
+        sig_1, xs_1 = simulate_replicate_block(params, n, 2024, lo + i, lo + i + 1)
         assert np.array_equal(sig[i], sig_1[0]) and np.array_equal(xs[i], xs_1[0])
+
+
+def _first_explosion(params, u_y, u_c):
+    """(t, ln sigma_t) of the earliest |ln sigma_t| past the limit, and of the first
+    replicate at that t, by a plain per-step loop with a check at every step."""
+    ys = params.innovation.quantile(u_y)
+    sigma = np.full(len(u_y), params.sigma0)
+    x = np.floor(sigma * ys[:, 0])
+    for t in range(1, u_y.shape[1]):
+        c = params.exogenous.quantile(u_c[:, t - 1])
+        log_sigma = params.a * np.log(sigma) + params.b * np.log1p(x) + c
+        bad = np.flatnonzero(np.abs(log_sigma) > LOG_SIGMA_LIMIT)
+        if len(bad):
+            return t, float(log_sigma[bad[0]])
+        sigma = np.exp(log_sigma)
+        with np.errstate(over="ignore"):  # a count may overflow just before an explosion
+            x = np.floor(sigma * ys[:, t])
+    return None
+
+
+# drifting toward the limit, with exogenous noise so replicates cross at different steps
+EXPLOSIVE = lc.ModelParams(a=0.9, b=0.05, c=0.0, innovation=lc.HalfCauchy(0, 1),
+                           exogenous=lc.ExogenousSpec(kind="iid", family="normal",
+                                                      mean=60.0, sd=60.0))
 
 
 def test_explosion_guard():
@@ -163,7 +200,38 @@ def test_explosion_guard():
     params = lc.ModelParams(a=0.9, b=0.0, c=0.0, innovation=EXP, exogenous=exo)
     with pytest.raises(ExplosionError) as err:
         lc.simulate(params, 50, 1)
-    assert err.value.t >= 1
+    assert (err.value.t, err.value.log_sigma) == (2, 760.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_explosion_matches_per_step_oracle(seed):
+    n = 200
+    u = stream(seed).random((1, 2 * n + 1))
+    expected = _first_explosion(EXPLOSIVE, u[:, :n + 1], u[:, n + 1:])
+    assert expected is not None
+    with pytest.raises(ExplosionError) as err:
+        lc.simulate(EXPLOSIVE, n, seed)
+    assert (err.value.t, err.value.log_sigma) == expected
+
+
+# every replicate crosses at t = 2, each with its own ln sigma_2 in [741, 779]
+TOGETHER = lc.ModelParams(a=0.9, b=0.0, c=0.0, innovation=EXP,
+                          exogenous=lc.ExogenousSpec(kind="iid", family="uniform",
+                                                     mean=400.0, half_width=10.0))
+
+
+@pytest.mark.parametrize("params", [EXPLOSIVE, TOGETHER], ids=["staggered", "together"])
+def test_block_explosion_is_the_earliest_step_then_the_first_replicate(params):
+    n, lo, hi = 200, 0, 40
+    u = uniform_rows(3, lo, hi, 2 * n + 1)
+    exploded = [e for e in (_first_explosion(params, u[r:r + 1, :n + 1], u[r:r + 1, n + 1:])
+                            for r in range(hi - lo)) if e is not None]
+    assert len(set(exploded)) > 1  # the replicates cross at other steps or values
+    expected = min(exploded, key=lambda e: e[0])  # the first replicate among ties
+    assert _first_explosion(params, u[:, :n + 1], u[:, n + 1:]) == expected
+    with pytest.raises(ExplosionError) as err:
+        simulate_replicate_block(params, n, 3, lo, hi)
+    assert (err.value.t, err.value.log_sigma) == expected
 
 
 # ---------------------------------------------------------------------------
