@@ -323,6 +323,8 @@ def cmd_mc_boxplot(args) -> int:
     seed = _seed_of(args, cfg)
     n_list = _cast(lambda v: [_int(n) for n in (v if isinstance(v, list) else [v])],
                    cfg["n"], "'n'")
+    if len(set(n_list)) < len(n_list):
+        raise ConfigError(f"mc-boxplot needs distinct values of 'n', got {n_list}")
     replicates = _cast(_int, cfg["replicates"], "'replicates'")
     if replicates < 100:
         raise ConfigError(f"mc-boxplot needs at least 100 replicates, got {replicates}")

@@ -151,6 +151,8 @@ def files(tmp_path_factory):
                   "n": 60, "cells": [[2, 5.5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
     ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
                   "n": 60.5, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    # the summary is keyed by n, so a repeated n would lose a line
+    ("mc-boxplot", {"model": MODEL, "n": [30, 30], "replicates": 100}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

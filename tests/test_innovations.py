@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from scipy.optimize import brentq
 
 import logcount as lc
 from logcount.errors import ConfigError
+from logcount.innovations import HEAD_BLOCK, _head_sum
 
 EXP = lc.Exponential(1.0)
 HN_UNIT = lc.HalfNormal.from_mean(1.0)
@@ -512,6 +514,45 @@ def test_tv_grid_values_pinned(spec, expected):
     got = [lc.tv_distance(lc.DiscretizedLaw(spec, float(a)), lc.DiscretizedLaw(spec, float(b)))
            for i, a in enumerate(TV_GRID_SIGMAS) for b in TV_GRID_SIGMAS[i:]]
     assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+# heavy-tailed pairs whose dense head is capped at DENSE_MAX entries, which
+# the grid above never reaches, pinned bit for bit
+TV_CAPPED_PINNED = [
+    (HC0, 1000.0, 1500.0, 0.128188430991797),
+    (HC0, 3e4, 1.6e5, 0.4797061234139537),
+    (HC4, 1000.0, 1500.0, 0.4453868548989249),
+]
+
+
+@pytest.mark.parametrize("spec,s_lo,s_hi,expected", TV_CAPPED_PINNED)
+def test_tv_capped_head_values_pinned(spec, s_lo, s_hi, expected):
+    val = lc.tv_distance(lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, s_hi))
+    assert repr(val) == repr(expected)
+
+
+@pytest.mark.parametrize("spec", [EXP, HC0, HC4], ids=str)
+@pytest.mark.parametrize("length", [1, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1,
+                                    2 * HEAD_BLOCK + 1])
+def test_blocked_head_sum_equals_one_call_pmf_sum(spec, length):
+    # scales that spread the mass over the whole head, so every block counts
+    law1, law2 = lc.DiscretizedLaw(spec, length / 8), lc.DiscretizedLaw(spec, length / 6)
+    ks = np.arange(length, dtype=float)
+    oracle = np.abs(law1.pmf(ks) - law2.pmf(ks)).sum()
+    got = np.float64(_head_sum(law1, law2, length - 1))
+    assert got.view(np.int64) == oracle.view(np.int64)
+
+
+def test_tv_capped_head_memory_stays_in_blocks():
+    # the head of DENSE_MAX entries holds one buffer, not a pmf table per law
+    law1, law2 = lc.DiscretizedLaw(HC0, 1000.0), lc.DiscretizedLaw(HC0, 1500.0)
+    tracemalloc.start()
+    try:
+        lc.tv_distance(law1, law2)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 64.0
 
 
 def test_tv_bound_check_report():
