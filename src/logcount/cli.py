@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -87,9 +88,12 @@ def _int(value) -> int:
 
 
 def _array(value) -> list:
-    """``value`` if it is a JSON array; a string would otherwise iterate by character."""
+    """``value`` if it is a non-empty JSON array; a string would otherwise
+    iterate by character, and an empty list would run nothing."""
     if not isinstance(value, list):
         raise TypeError("expected a JSON array")
+    if not value:
+        raise ValueError("expected a non-empty JSON array")
     return value
 
 
@@ -210,36 +214,51 @@ def _write_json(path: Optional[str], command: str, seed: int, cfg: dict, result:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_counts(path: str) -> np.ndarray:
-    """One count per row; optional single header line; comments allowed."""
-    values = []
-    header_allowed = True
+    """One count per row; optional single header line; comments allowed.
+
+    Rows are the file's lines after universal-newline decoding, split at line
+    feeds only: ``splitlines`` would also split at form feeds and other
+    separators and shift the row numbers.  An error names the first
+    offending row in file order.
+    """
     try:
         # undecodable bytes become U+FFFD and fail as non-numeric rows
         fh = open(_cast(os.fspath, path, "'data'"), "r", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc.strerror}") from None
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                val = float(line)
-            except ValueError:
-                if header_allowed and not values:
-                    header_allowed = False
-                    continue  # single leading header row
-                raise DataError(f"row {lineno}: not a number: {line!r}") from None
-            header_allowed = False
-            if val < 0:
-                raise DataError(f"row {lineno}: negative count {line!r}")
-            if not math.isfinite(val) or val != math.floor(val):
-                raise DataError(f"row {lineno}: non-integer count {line!r}")
-            values.append(val)
+        lines = list(map(str.strip, fh.read().split("\n")))
+    kept = [bool(line) and line[0] != "#" for line in lines]
+    texts = list(itertools.compress(lines, kept))
+    header = int(bool(texts) and not _is_number(texts[0]))  # single leading header row
+    texts = texts[header:]
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        bad_at = None
+    except ValueError:
+        bad_at = next(i for i, text in enumerate(texts) if not _is_number(text))
+        values = np.array([float(text) for text in texts[:bad_at]], dtype=float)
+    # a bad count before the first row that is not a number is reported first
+    bad = (values < 0) | ~np.isfinite(values) | (values != np.floor(values))
+    if bad.any() or bad_at is not None:
+        i = int(np.argmax(bad)) if bad.any() else bad_at
+        lineno = int(np.flatnonzero(kept)[header + i]) + 1
+        if i == bad_at:
+            raise DataError(f"row {lineno}: not a number: {texts[i]!r}")
+        kind = "negative" if values[i] < 0 else "non-integer"
+        raise DataError(f"row {lineno}: {kind} count {texts[i]!r}")
     if len(values) < 2:
         raise DataError(f"need at least 2 counts, found {len(values)} in {path}")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +340,7 @@ def cmd_mc_boxplot(args) -> int:
     _require_keys(cfg, {"model", "n", "replicates"}, {"theta_bar_loops"}, "mc-boxplot config")
     params = _model_from_config(cfg["model"])
     seed = _seed_of(args, cfg)
-    n_list = _cast(lambda v: [_int(n) for n in (v if isinstance(v, list) else [v])],
+    n_list = _cast(lambda v: [_int(n) for n in (_array(v) if isinstance(v, list) else [v])],
                    cfg["n"], "'n'")
     if len(set(n_list)) < len(n_list):
         raise ConfigError(f"mc-boxplot needs distinct values of 'n', got {n_list}")

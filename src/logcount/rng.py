@@ -4,8 +4,14 @@ Every random quantity in this package is drawn from a numpy Generator seeded
 by ``SeedSequence([master_seed, *path])``.  A unit of work (one replicate, one
 Monte Carlo loop, one bootstrap block) owns its path, so it can be recomputed
 in isolation and results never depend on scheduling, chunk boundaries, or the
-number of worker processes.  ``uniform_rows`` is the one place that maps a
-simulated replicate r to its stream ``(master_seed, NS_SIM, r)``.
+number of worker processes.  ``stream`` is the definition of every stream.
+
+``uniform_rows`` is the one place that maps a simulated replicate r to its
+stream ``(master_seed, NS_SIM, r)``.  It yields the same bits as ``stream``
+but derives a whole block of rows at once: the SeedSequence hash uses only
+data-independent constants, so it runs as uint32 array operations over the
+rows, and each row's PCG64 state is then set on one reused generator.  The
+equality with ``stream`` is pinned by the tests.
 """
 from __future__ import annotations
 
@@ -32,12 +38,102 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *[int(p) for p in path]]))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """32-bit words of a non-negative int, low word first; 0 is one word."""
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hash_consts(init: int, mult: int):
+    """(xor, mult) constants of successive hash calls, data-independent."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value, consts):
+    """One SeedSequence hashmix; ``value`` is an int or a uint32 array."""
+    x, m = next(consts)
+    value = (value ^ x) * m & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _pcg64_states(entropy: list) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng(SeedSequence(words))`` for each row.
+
+    ``entropy`` lists the 32-bit entropy words in order, each an int shared
+    by all rows or a uint32 array with one word per row.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, consts) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[src], consts))
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool, paired
+    # little-endian
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    w32 = [np.asarray(_hashmix(pool[i % _POOL_SIZE], consts), dtype=np.uint64) for i in range(8)]
+    w64 = [(w32[2 * j] | (w32[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    # pcg64_set_seed: inc = initseq << 1 | 1, then two LCG steps from state 0
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*w64):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     """Matrix of shape (hi-lo, width): row i holds the first ``width`` uniforms
-    of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``."""
+    of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``.
+
+    Bit for bit ``stream(master_seed, NS_SIM, lo+i).random(width)``, without a
+    SeedSequence or PCG64 per row: the rows are split where r crosses a
+    multiple of 2**32, so within a group only the low word of r varies; each
+    group's PCG64 states come from one vectorized ``_pcg64_states`` pass, and
+    one generator is reseeded and drawn from row by row.
+    """
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
     u = np.empty((hi - lo, width))
-    for i in range(hi - lo):
-        u[i] = stream(master_seed, NS_SIM, lo + i).random(width)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    head = [*_words(int(master_seed)), NS_SIM]
+    i = 0
+    while lo + i < hi:
+        r, top = lo + i, (lo + i) >> 32
+        stop = min(hi, (top + 1) << 32)
+        low = (r & _MASK32) + np.arange(stop - r, dtype=np.uint32)
+        entropy = [*head, low, *(_words(top) if top else [])]
+        for state, inc in _pcg64_states(entropy):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen.random(out=u[i])
+            i += 1
     return u
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcount import cli
+from logcount.errors import DataError
 from logcount.process import simulate
 
 MODEL = {"a": 0.1, "b": 0.1, "c": 2, "innovation": {"family": "exponential"}}
@@ -107,6 +108,41 @@ def test_byte_order_mark_does_not_drop_a_count(tmp_path, header):
     assert cli._read_counts(str(path)).tolist() == [5, 7, 9]
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1\n2\nx\n", "row 3: not a number: 'x'"),
+    ("1\n-2\n", "row 2: negative count '-2'"),
+    ("1\n2.5\n", "row 2: non-integer count '2.5'"),
+    ("1\ninf\n", "row 2: non-integer count 'inf'"),
+    ("1\nnan\n", "row 2: non-integer count 'nan'"),
+    ("count\n# note\n7\n", "need at least 2 counts, found 1"),
+    ("count\nx\n1\n2\n", "row 2: not a number: 'x'"),  # one header only
+    # negative wins over non-integer within a row
+    ("1\n-1.5\n", "row 2: negative count '-1.5'"),
+    ("1\n-inf\n", "row 2: negative count '-inf'"),
+    # the first offending row in file order, whatever its kind
+    ("1\n2.5\nx\n-3\n", "row 2: non-integer count '2.5'"),
+    ("1\nx\n2.5\n", "row 2: not a number: 'x'"),
+    ("1\n-2\n2.5\n", "row 2: negative count '-2'"),
+    # comments, blank lines, the header, CRLF and a form feed keep line numbers
+    ("# c\n\ncount\n 1 \n# c\n2\n\n0.5\n", "row 8: non-integer count '0.5'"),
+    ("count\r\n1\r\n\r\nx\r\n", "row 4: not a number: 'x'"),
+    ("1\n\x0c\n2\n3\x0c4\n", "row 4: not a number: '3\\x0c4'"),
+])
+def test_read_counts_names_the_first_offending_row(tmp_path, text, message):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as err:
+        cli._read_counts(str(path))
+    assert str(err.value).startswith(message)
+
+
+def test_read_counts_skips_comments_blank_lines_and_one_header(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"# c\n\nx\n 1 \n\x0c\n#2\n-0\r\n3e2\n")
+    values = cli._read_counts(str(path))
+    assert values.tolist() == [1.0, 0.0, 300.0] and values.dtype == np.float64
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A directory holding a small count series and room for outputs."""
@@ -153,6 +189,17 @@ def files(tmp_path_factory):
                   "n": 60.5, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
     # the summary is keyed by n, so a repeated n would lose a line
     ("mc-boxplot", {"model": MODEL, "n": [30, 30], "replicates": 100}, 2),
+    # an empty list would run nothing and write a header without rows
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [],
+                  "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [[2, 5]], "alphas": [], "mc_loops": 3, "B": 50}, 2),
+    ("mc-boxplot", {"model": MODEL, "n": [], "replicates": 100}, 2),
+    ("tv-check", {"innovations": [], "sigmas": [1, 2]}, 2),
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": []}, 2),
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": []}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

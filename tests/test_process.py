@@ -6,7 +6,7 @@ import pytest
 import logcount as lc
 from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
 from logcount.process import simulate_replicate_block
-from logcount.rng import stream, uniform_rows
+from logcount.rng import NS_SIM, stream, uniform_rows
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -232,6 +232,25 @@ def test_block_explosion_is_the_earliest_step_then_the_first_replicate(params):
     with pytest.raises(ExplosionError) as err:
         simulate_replicate_block(params, n, 3, lo, hi)
     assert (err.value.t, err.value.log_sigma) == expected
+
+
+@pytest.mark.parametrize("width", [0, 1, 92, 501])
+@pytest.mark.parametrize("lo,hi", [(0, 512), (3584, 4096), (2**32 - 2, 2**32 + 2), (7, 7)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+def test_uniform_rows_equal_the_per_replicate_streams(seed, lo, hi, width):
+    u = uniform_rows(seed, lo, hi, width)
+    assert u.shape == (hi - lo, width)
+    for i in range(hi - lo):
+        expected = stream(seed, NS_SIM, lo + i).random(width)
+        assert np.array_equal(u[i].view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 3)])
+def test_uniform_rows_reject_a_negative_seed(lo, hi):
+    with pytest.raises(ValueError, match="non-negative"):
+        uniform_rows(-1, lo, hi, 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        stream(-1, NS_SIM, lo)
 
 
 # ---------------------------------------------------------------------------
