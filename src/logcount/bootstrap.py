@@ -276,6 +276,8 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     validate(params)
     if mc_loops < 1:
         raise ConfigError("mc_loops must be >= 1")
+    if len(cells) == 0 or len(alphas) == 0:  # nothing to cover: run no loop
+        raise ConfigError("need at least one (l_n, N_n) cell and one alpha")
     for l_n, N_n in cells:  # each (cell, alpha) must be a valid bootstrap tuning
         for alpha in alphas:
             BootstrapConfig(l_n=l_n, N_n=N_n, B=B, alpha=alpha)

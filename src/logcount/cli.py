@@ -3,8 +3,8 @@
 Every command reads a single JSON config, derives all randomness from one
 master seed, and stamps its primary output with the seed and a hash of the
 canonical config, so a run can be reproduced byte-for-byte from its own
-header.  ``--threads`` only changes how replicate chunks are scheduled;
-results are identical for any value.
+header.  ``--threads`` (at least 1) only changes how replicate chunks are
+scheduled; results are identical for any value.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -517,6 +517,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -12,7 +12,9 @@ the tests compare it against.  Running two feedback chains with
 independent pasts and coupling them from a cut-off time onward turns the
 fraction of replicates whose counts ever differ after a gap into a Monte
 Carlo upper bound on the mixing coefficient, which can then be compared to
-the analytic geometric bound.
+the analytic geometric bound.  The experiment only counts, so it steps
+worker-sized spans of replicates and keeps no paths; one step loop serves it
+and ``run_coupled_chains``, which keeps the paths of one replicate.
 """
 from __future__ import annotations
 
@@ -241,50 +243,59 @@ class CouplingExperimentResult:
         return float(np.polyfit(x, y, 1)[0])
 
 
+def _uniform_width(params: ModelParams, k: int, horizon: int) -> int:
+    """Uniforms per replicate of the pair experiment.
+
+    (k+1) innovations per chain for the independent phase, then one shared
+    uniform per coupled step; iid exogenous adds k draws per chain plus one
+    shared draw per coupled step.
+    """
+    return 2 * (k + 1) + horizon + (2 * k + horizon if params.exogenous.kind == "iid" else 0)
+
+
 def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed: int,
-                         lo: int, hi: int):
+                         lo: int, hi: int, paths: bool = True):
     """Replicates lo..hi-1 of the pair experiment.
 
     Returns ``(merged, sigma, x)``: ``merged`` of shape (hi-lo, horizon) is
     True where the coupled step t = k+1+j drew equal counts; ``sigma`` and
     ``x`` of shape (2, hi-lo, k+1+horizon) hold both chains, the first chain
-    at index 0, over t = 0..k+horizon.
+    at index 0, over t = 0..k+horizon.  With ``paths=False`` they are None
+    and only the current step of each chain is kept.
 
-    Uniform budget per replicate: (k+1) innovations per chain for the
-    independent phase, then one shared uniform per coupled step; iid
-    exogenous adds k draws per chain plus one shared draw per coupled step.
+    Every step is elementwise per replicate, so a replicate's row does not
+    depend on the rows it runs with.
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
-    u = _rng.uniform_rows(master_seed, lo, hi,
-                          2 * (k + 1) + horizon + (2 * k + horizon if iid else 0))
-    ua = u[:, : k + 1]
-    ub = u[:, k + 1: 2 * (k + 1)]
-    uc = u[:, 2 * (k + 1): 2 * (k + 1) + horizon]
-    if iid:
-        off = 2 * (k + 1) + horizon
-        uca = u[:, off: off + k]
-        ucb = u[:, off + k: off + 2 * k]
-        ucs = u[:, off + 2 * k:]
-    else:
-        uca = ucb = ucs = None
+    u = _rng.uniform_rows(master_seed, lo, hi, _uniform_width(params, k, horizon))
+    off = 2 * (k + 1) + horizon
+    uc = u[:, 2 * (k + 1): off]
+    sig = xs = None
+    if paths:
+        sig = np.empty((2, R, k + 1 + horizon))
+        xs = np.empty((2, R, k + 1 + horizon))
 
-    sig = np.empty((2, R, k + 1 + horizon))
-    xs = np.empty((2, R, k + 1 + horizon))
-    sig[0, :, :k + 1], xs[0, :, :k + 1], _, _ = _evolve(params, k, ua, uca)
-    sig[1, :, :k + 1], xs[1, :, :k + 1], _, _ = _evolve(params, k, ub, ucb)
-    sigma_a, sigma_b = sig[:, :, k]
-    x_a, x_b = xs[:, :, k]
+    def independent(i):
+        """Chain i over t = 0..k; returns copies of (sigma_k, X_k), so its path is freed."""
+        s_i, x_i, _, _ = _evolve(params, k, u[:, i * (k + 1): (i + 1) * (k + 1)],
+                                 u[:, off + i * k: off + (i + 1) * k] if iid else None)
+        if paths:
+            sig[i, :, :k + 1], xs[i, :, :k + 1] = s_i, x_i
+        return s_i[:, k].copy(), x_i[:, k].copy()
+
+    (sigma_a, x_a), (sigma_b, x_b) = independent(0), independent(1)
 
     merged = np.empty((R, horizon), dtype=bool)
     for j in range(horizon):
         t = k + 1 + j
-        c_t = _exo_term(params, t, ucs[:, j] if iid else None)  # shared across the pair
+        c_t = _exo_term(params, t, u[:, off + 2 * k + j] if iid else None)  # shared across the pair
         sigma_a = _next_sigma(params, t, sigma_a, x_a, c_t)
         sigma_b = _next_sigma(params, t, sigma_b, x_b, c_t)
         x_a, x_b, merged[:, j] = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
-        sig[0, :, t], sig[1, :, t] = sigma_a, sigma_b
-        xs[0, :, t], xs[1, :, t] = x_a, x_b
+        if paths:
+            sig[0, :, t], sig[1, :, t] = sigma_a, sigma_b
+            xs[0, :, t], xs[1, :, t] = x_a, x_b
     return merged, sig, xs
 
 
@@ -300,7 +311,11 @@ def run_coupled_chains(params: ModelParams, k: int, n_max: int, truncation: int,
 
 def _beta_chunk(params: ModelParams, k: int, n_max: int, truncation: int,
                 master_seed: int, lo: int, hi: int) -> np.ndarray:
-    merged, _, _ = _coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi)
+    """Per gap n = 1..n_max, the int64 count of replicates lo..hi-1 whose
+    chains differ somewhere in [k+n, k+n+truncation]; any split of the
+    replicates into blocks sums to the same counts."""
+    merged, _, _ = _coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi,
+                                        paths=False)
     diff = ~merged
     windows = np.lib.stride_tricks.sliding_window_view(diff, truncation + 1, axis=1)
     return windows.any(axis=2).sum(axis=0).astype(np.int64)
@@ -314,6 +329,11 @@ def estimate_beta(params: ModelParams, k: int, n_grid, truncation: int,
     For each gap n the estimate is the fraction of replicates whose coupled
     chains differ anywhere in [k+n, k+n+truncation].  The analytic decay
     bound and the tail left out by the truncation are evaluated alongside.
+
+    Each worker steps one contiguous span of replicates (``rng.span``), not
+    ``rng.CHUNK``-row chunks: every replicate owns its stream, every step is
+    elementwise per replicate and the chunks only sum int64 counts, so the
+    result does not depend on the span or on ``threads``.
     """
     consts = validate(params)
     n_grid = np.asarray(sorted(set(int(n) for n in n_grid)), dtype=int)
@@ -323,7 +343,9 @@ def estimate_beta(params: ModelParams, k: int, n_grid, truncation: int,
         raise ConfigError("need k >= 0, truncation >= 0 and replicates >= 1")
     n_max = int(n_grid[-1])
     worker = partial(_beta_chunk, params, k, n_max, truncation, master_seed)
-    parts = _rng.run_chunks(worker, replicates, threads)
+    # the counts are integers, so a worker steps one wide span of replicates
+    rows = _rng.span(replicates, threads, _uniform_width(params, k, n_max + truncation))
+    parts = _rng.run_chunks(worker, replicates, threads, chunk=rows)
     counts = np.zeros(n_max, dtype=np.int64)
     for p in parts:
         counts += p

@@ -502,11 +502,16 @@ def _gap_mass(base, s_lo, s_hi, y):
     ``s_hi - s_lo`` without cancellation.  Against mpmath it is within 5e-16
     for the exponential, half-normal, chi-square(6) and half-Cauchy with a
     location of up to 20 scales; it needs a density smooth on that interval.
+    Each entry sums its nodes by one fixed pairwise tree, not by a BLAS
+    gemv, whose bits for an entry depend on its place in the batch.
     """
     nodes, weights = _gauss_legendre()
     half = 0.5 * y * ((s_hi - s_lo) / s_lo) / s_hi
     mid = 0.5 * (y / s_hi + y / s_lo)
-    return half * (base.density(mid[:, None] + half[:, None] * nodes) @ weights)
+    terms = base.density(mid + half * nodes[:, None]) * weights[:, None]
+    while len(terms) > 1:  # 8 node rows: 4, 2, then 1
+        terms = terms[0::2] + terms[1::2]
+    return half * terms[0]
 
 
 def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:

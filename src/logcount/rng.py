@@ -20,10 +20,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Fixed chunk width for replicate batches.  Purely a performance knob: each
-# replicate has its own stream, and partial reductions are combined in chunk
-# order, so results are identical for any worker count.
+# Fixed chunk width for replicate batches: the unit of scheduling, and the
+# unit of every float reduction.  Each replicate has its own stream and the
+# partial results are combined in chunk order, so results are identical for
+# any worker count; but a chunk's bits do depend on its width where it
+# reduces floats (BLAS gemv row partitions, float sums), so the width is
+# fixed and only ``span`` may merge chunks.
 CHUNK = 512
+# Element budget of the (rows, width) uniform block of one span (2 MiB of
+# doubles); the coupling experiment peaks at about twice its block.
+SPAN_ELEMENTS = 2**18
 
 # Stream namespaces (first path component after the master seed).
 NS_SIM = 0
@@ -112,10 +118,12 @@ def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``.
 
     Bit for bit ``stream(master_seed, NS_SIM, lo+i).random(width)``, without a
-    SeedSequence or PCG64 per row: the rows are split where r crosses a
-    multiple of 2**32, so within a group only the low word of r varies; each
-    group's PCG64 states come from one vectorized ``_pcg64_states`` pass, and
-    one generator is reseeded and drawn from row by row.
+    SeedSequence or PCG64 per row: the rows are split into groups of at most
+    ``CHUNK`` rows that do not cross a multiple of 2**32, so within a group
+    only the low word of r varies; each group's PCG64 states come from one
+    vectorized ``_pcg64_states`` pass, whose Python-int states then stay
+    small beside ``u``, and one generator is reseeded and drawn from row by
+    row.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
@@ -126,7 +134,7 @@ def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     i = 0
     while lo + i < hi:
         r, top = lo + i, (lo + i) >> 32
-        stop = min(hi, (top + 1) << 32)
+        stop = min(hi, (top + 1) << 32, r + CHUNK)
         low = (r & _MASK32) + np.arange(stop - r, dtype=np.uint32)
         entropy = [*head, low, *(_words(top) if top else [])]
         for state, inc in _pcg64_states(entropy):
@@ -147,14 +155,37 @@ def chunk_bounds(n_items: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
-def run_chunks(worker: Callable[[int, int], object], n_items: int, threads: int = 1) -> list:
+def span(n_items: int, threads: int, width: int) -> int:
+    """Rows per span for a caller whose chunk results are exact integers.
+
+    At least one span per worker, and enough spans that a (rows, width)
+    matrix stays within ``SPAN_ELEMENTS``; the items are shared out evenly
+    in whole chunks, so a span is about ``ceil(n_items / spans)`` rows, a
+    multiple of ``CHUNK`` and never below it.  Stepping many replicates per
+    numpy call saves per-call overhead, and only a reduction that sums
+    integers (counts) gives the same result for any grouping of the rows.
+    """
+    chunks = -(-n_items // CHUNK)
+    per_span = max(SPAN_ELEMENTS // (CHUNK * width), 1)
+    spans = max(threads or 1, -(-chunks // per_span), 1)
+    return CHUNK * max(-(-chunks // spans), 1)
+
+
+def run_chunks(worker: Callable[[int, int], object], n_items: int, threads: int = 1,
+               chunk: int = CHUNK) -> list:
     """Run ``worker(lo, hi)`` over fixed-size index chunks, in index order.
 
     ``worker`` must be picklable (module-level function or functools.partial
     of one) when ``threads > 1``.  The returned list is ordered by chunk, so
     any reduction performed by the caller is independent of the worker count.
+
+    ``chunk`` defaults to ``CHUNK``, which every caller that reduces floats
+    must keep (``theta``, ``curve`` and ``coverage``): a row's float result
+    can depend on how many rows share its call.  A caller whose worker
+    returns integer counts (``estimate_beta``) may pass a wider ``span``,
+    because an integer sum does not depend on how the rows are grouped.
     """
-    bounds = chunk_bounds(n_items)
+    bounds = chunk_bounds(n_items, chunk)
     if threads is None or threads <= 1 or len(bounds) <= 1:
         return [worker(lo, hi) for lo, hi in bounds]
     los: Sequence[int] = [b[0] for b in bounds]

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import logcount as lc
+from logcount import bootstrap
 from logcount.errors import ConfigError
 
 EXP = lc.Exponential(1.0)
@@ -240,6 +241,18 @@ def test_coverage_experiment_small_run():
     # nested intervals make per-cell coverage monotone in the level
     assert by_alpha[0.05] >= by_alpha[0.1]
     assert all(0.5 <= r.coverage <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("cells,alphas", [([], [0.1]), ([(8.0, 20)], [])])
+def test_coverage_experiment_with_nothing_to_cover_runs_nothing(monkeypatch, cells, alphas):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated for an empty grid")
+
+    monkeypatch.setattr(bootstrap, "theta_bar_mc", no_simulation)
+    monkeypatch.setattr(bootstrap, "simulate_replicate_block", no_simulation)
+    with pytest.raises(ConfigError, match="at least one"):
+        lc.coverage_experiment(PARAMS, 120, cells=cells, alphas=alphas, mc_loops=150, B=300,
+                               master_seed=99, theta_bar_loops=2000)
 
 
 def test_coverage_thread_invariance():

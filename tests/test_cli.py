@@ -200,11 +200,14 @@ def files(tmp_path_factory):
     ("tv-check", {"innovations": [], "sigmas": [1, 2]}, 2),
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": []}, 2),
     ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": []}, 2),
+    # a worker count below 1 is refused, as a negative seed is
+    ("simulate --threads 0", {"model": MODEL, "n": 5}, 2),
+    ("mixing --threads -1", {"model": MODEL, "k": 3, "replicates": 20, "n_max": 3}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
     (files / "config.json").write_text(text)
-    assert cli.main([command, "--config", str(files / "config.json")]) == code
+    assert cli.main([*command.split(), "--config", str(files / "config.json")]) == code
 
 
 def test_config_path_that_is_a_directory_is_a_config_error(files):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ import logcount as lc
 from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index, _dense_coupled,
                                _first_true, _scaled_coupled)
 from logcount.errors import ConfigError
+from logcount.rng import chunk_bounds
 
 EXP = lc.Exponential(1.0)
 HN = lc.HalfNormal.from_mean(1.0)
@@ -198,6 +200,31 @@ def test_beta_chunk_counts_pinned(spec, counts):
     # here, not only in the benchmark digests
     params = lc.ModelParams(a=0.3, b=0.3, c=1.0, innovation=spec)
     assert _beta_chunk(params, 5, 10, 5, 0, 0, 512).tolist() == counts
+
+
+@pytest.mark.parametrize("params", [
+    lc.ModelParams(a=0.3, b=0.3, c=1.0, innovation=EXP),
+    lc.ModelParams(a=0.3, b=0.3, c=1.0, innovation=lc.ChiSquare(6)),
+    lc.ModelParams(a=0.3, b=0.3, c=1.0, innovation=HC),
+    IID_PARAMS,
+], ids=["exp", "chi2", "hc", "iid"])
+def test_beta_counts_do_not_depend_on_the_span(params):
+    # estimate_beta sums the counts of worker-sized spans; any split of the
+    # replicates must give the counts of one block over all of them
+    N = 1100
+
+    def counts(bounds):
+        return sum(_beta_chunk(params, 5, 10, 5, 3, lo, hi) for lo, hi in bounds)
+
+    whole = _beta_chunk(params, 5, 10, 5, 3, 0, N)
+    assert whole.dtype == np.int64 and whole[0] > 0
+    cuts = [0]
+    for size in itertools.cycle((7, 300)):
+        cuts.append(min(cuts[-1] + size, N))
+        if cuts[-1] == N:
+            break
+    assert np.array_equal(counts(chunk_bounds(N)), whole)
+    assert np.array_equal(counts(zip(cuts[:-1], cuts[1:])), whole)
 
 
 def test_first_true_terminates_above_2_pow_53():

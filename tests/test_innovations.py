@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 import logcount as lc
 from logcount.errors import ConfigError
-from logcount.innovations import HEAD_BLOCK, _head_sum
+from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sum
 
 EXP = lc.Exponential(1.0)
 HN_UNIT = lc.HalfNormal.from_mean(1.0)
@@ -161,6 +161,21 @@ def test_crossing_is_the_one_root_of_the_scaled_density_difference(spec):
                 root = mpmath.findroot(f, (grid[flips[0]], grid[flips[0] + 1]), solver="anderson")
                 got = float(spec.crossing(s_lo, s_hi))
                 assert got == pytest.approx(float(root), rel=1e-12), (s_lo, gap)
+
+
+@pytest.mark.parametrize("spec", [EXP, lc.ChiSquare(6), HC0, HC4], ids=str)
+@pytest.mark.parametrize("batch", [1, 3, 5, 512, 2048])
+def test_gap_mass_row_does_not_depend_on_its_batch(spec, batch):
+    # a gemv over the nodes gave a row other bits at another place mod 4 in
+    # the batch, so the coupling's crossing test depended on its block
+    rng = np.random.default_rng(17)
+    s_lo = np.exp(rng.uniform(0.0, 10.0, batch))
+    s_hi = s_lo * (1.0 + rng.uniform(0.0, NEAR_GAP, batch))
+    y = np.floor(rng.uniform(0.0, 5.0, batch) * s_lo)
+    one_call = _gap_mass(spec, s_lo, s_hi, y)
+    per_row = np.concatenate([_gap_mass(spec, s_lo[i:i + 1], s_hi[i:i + 1], y[i:i + 1])
+                              for i in range(batch)])
+    assert np.array_equal(one_call.view(np.int64), per_row.view(np.int64))
 
 
 @pytest.mark.parametrize("m,s", BUMPED_HC)

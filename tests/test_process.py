@@ -6,7 +6,7 @@ import pytest
 import logcount as lc
 from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
 from logcount.process import simulate_replicate_block
-from logcount.rng import NS_SIM, stream, uniform_rows
+from logcount.rng import CHUNK, NS_SIM, SPAN_ELEMENTS, span, stream, uniform_rows
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -235,7 +235,8 @@ def test_block_explosion_is_the_earliest_step_then_the_first_replicate(params):
 
 
 @pytest.mark.parametrize("width", [0, 1, 92, 501])
-@pytest.mark.parametrize("lo,hi", [(0, 512), (3584, 4096), (2**32 - 2, 2**32 + 2), (7, 7)])
+@pytest.mark.parametrize("lo,hi", [(0, 512), (3584, 4096), (2**32 - 2, 2**32 + 2), (7, 7),
+                                   (100, 1300)])
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
 def test_uniform_rows_equal_the_per_replicate_streams(seed, lo, hi, width):
     u = uniform_rows(seed, lo, hi, width)
@@ -251,6 +252,23 @@ def test_uniform_rows_reject_a_negative_seed(lo, hi):
         uniform_rows(-1, lo, hi, 5)
     with pytest.raises(ValueError, match="non-negative"):
         stream(-1, NS_SIM, lo)
+
+
+@pytest.mark.parametrize("width", [1, 92, 10**6])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n_items", [1, 511, 1500, 4096, 100_000])
+def test_span_is_whole_chunks_and_one_per_worker_within_the_budget(n_items, threads, width):
+    rows = span(n_items, threads, width)
+    assert rows % CHUNK == 0 and rows >= CHUNK
+    assert rows == CHUNK or rows * width <= SPAN_ELEMENTS
+    spans = -(-n_items // rows)
+    if CHUNK * width * -(-n_items // (CHUNK * threads)) <= SPAN_ELEMENTS:
+        assert spans <= threads  # the budget does not bind
+
+
+def test_span_splits_the_mixing_replicates_in_two():
+    # 4096 pairs with k = 20 and n_max + R = 50 hold 92 uniforms per row
+    assert span(4096, 1, 92) == span(4096, 2, 92) == 2048
 
 
 # ---------------------------------------------------------------------------
