@@ -6,9 +6,11 @@ with probability ``1 - d_TV`` (the maximum possible), and (c) the larger
 scale never produces the smaller count.  Every coupled draw, single or inside
 a chain experiment, goes through ``_scaled_coupled``, which takes the one
 pmf crossing of the two laws from ``innovations._crossing_index`` (built on
-the closed-form crossing of their scaled densities); the explicit
-pmf-table construction ``_dense_coupled`` is kept only as the exact oracle
-the tests compare it against.  Running two feedback chains with
+the closed-form crossing of their scaled densities).  Draws at bit-equal
+scales merge at one quantile without that crossing test, and the two
+residual searches of the other draws share one bisection.  The explicit
+pmf-table construction that the tests compare it against lives with them,
+in ``tests/oracles.py``.  Running two feedback chains with
 independent pasts and coupling them from a cut-off time onward turns the
 fraction of replicates whose counts ever differ after a gap into a Monte
 Carlo upper bound on the mixing coefficient, which can then be compared to
@@ -24,8 +26,8 @@ from functools import partial
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, NumericError
-from .innovations import DENSE_MAX, DiscretizedLaw, _crossing_index, _discrete_quantile
+from .errors import ConfigError
+from .innovations import DiscretizedLaw, _crossing_index, _discrete_quantile
 from .process import (ModelParams, _evolve, _exo_term, _next_sigma, _theorem1_brace,
                       theorem1_bound, validate)
 
@@ -33,50 +35,6 @@ from .process import (ModelParams, _evolve, _exo_term, _next_sigma, _theorem1_br
 # ---------------------------------------------------------------------------
 # Single coupled draw
 # ---------------------------------------------------------------------------
-
-def _dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
-                   tail: float = 1e-12):
-    """Reference construction from explicit pmf tables; the tests' oracle.
-
-    No program path calls it: ``coupled_draw`` and the chain experiments use
-    ``_scaled_coupled``, which the tests check against this construction.
-    The uniform is split at the overlap mass: below it both outputs are the
-    quantile of the normalized overlap ``min(p, q)``; above it each output is
-    the quantile of its normalized residual at the same level, which keeps
-    the draw of the stochastically larger law on top.
-
-    Both laws are tabulated on one common grid ``0..kmax``, with ``kmax`` the
-    larger of the two ``support_bound(tail)``, and each table is closed by a
-    tail bin holding ``sf(kmax)``, so the overlap and residual masses sum to
-    one for both laws.  The tail bin is exact under the single-crossing
-    assumption shared with ``_scaled_coupled``: above the cut the pmf
-    difference keeps its sign, so ``min(sf, sf')`` is the overlap mass there.
-    A level falling in the tail bin returns index ``kmax + 1``.
-    """
-    kmax = max(law.support_bound(tail), law_prime.support_bound(tail))
-    if kmax > DENSE_MAX:
-        raise NumericError(f"pmf table of {kmax + 2} entries exceeds the dense limit")
-    ks = np.arange(kmax + 1, dtype=float)
-    p = np.append(law.pmf(ks), law.sf(kmax))
-    q = np.append(law_prime.pmf(ks), law_prime.sf(kmax))
-    m = kmax + 2
-    overlap = np.minimum(p, q)
-    omega = float(overlap.sum())
-    cum_overlap = np.cumsum(overlap)
-    cum_res_p = np.cumsum(p - overlap)
-    cum_res_q = np.cumsum(q - overlap)
-
-    u = np.asarray(u, dtype=float)
-    merged = u < omega
-    x = np.empty(u.shape)
-    xp = np.empty(u.shape)
-    idx = np.searchsorted(cum_overlap, u[merged], side="left")
-    x[merged] = xp[merged] = np.minimum(idx, m - 1)
-    v = u[~merged] - omega
-    x[~merged] = np.minimum(np.searchsorted(cum_res_p, v, side="left"), m - 1)
-    xp[~merged] = np.minimum(np.searchsorted(cum_res_q, v, side="left"), m - 1)
-    return x, xp, merged
-
 
 def _first_true(lo: np.ndarray, hi: np.ndarray, pred):
     """Vectorized binary search: smallest k in [lo, hi] with pred(k) true.
@@ -106,11 +64,28 @@ def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndar
     closed-form quantiles.  Each residual draw bisects ``sf`` differences
     over a bracket capped by a quantile of its own law, so no search runs
     into the far tail of a heavy-tailed base, where pmf differences taken
-    from ``sf`` values are rounding noise.
+    from ``sf`` values are rounding noise.  The residual searches of both
+    laws run as one stacked bisection: they call the same ``sf``
+    difference, and on the few residual draws of a step the cost is the
+    number of calls, not their length.
+
+    Where ``sigma == sigma_prime`` and ``u < 1`` the two laws are one law:
+    ``dtv`` is exactly 0, every draw merges, and both merged branches give
+    the quantile at ``u``.  Those entries take that quantile directly and
+    skip the crossing test; the others run the general path, which is
+    elementwise, so every output keeps its bits.
     """
     sigma = np.asarray(sigma, dtype=float)
     sigma_prime = np.asarray(sigma_prime, dtype=float)
     u = np.asarray(u, dtype=float)
+    x_first = np.empty(u.shape)
+    x_second = np.empty(u.shape)
+    merged = np.ones(u.shape, dtype=bool)
+    same = (sigma == sigma_prime) & (u < 1.0)
+    x_first[same] = x_second[same] = _discrete_quantile(base, sigma[same], u[same])
+    rest = ~same
+    sigma, sigma_prime, u = sigma[rest], sigma_prime[rest], u[rest]
+
     swap = sigma < sigma_prime
     s_hi = np.where(swap, sigma_prime, sigma)
     s_lo = np.where(swap, sigma, sigma_prime)
@@ -122,19 +97,19 @@ def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndar
     omega = 1.0 - dtv
 
     x = np.empty(u.shape)
-    merged = u < omega
+    merged_rest = u < omega
 
-    low_branch = merged & (u <= f_hi_cross)
+    low_branch = merged_rest & (u <= f_hi_cross)
     if np.any(low_branch):
         x[low_branch] = _discrete_quantile(base, s_hi[low_branch], u[low_branch])
-    high_branch = merged & ~low_branch
+    high_branch = merged_rest & ~low_branch
     if np.any(high_branch):
         lvl = np.minimum(u[high_branch] + dtv[high_branch], np.nextafter(1.0, 0.0))
         x[high_branch] = _discrete_quantile(base, s_lo[high_branch], lvl)
     x_hi = x.copy()
     x_lo = x.copy()
 
-    res = ~merged
+    res = ~merged_rest
     if np.any(res):
         v = u[res] - omega[res]
         d_r = dtv[res]
@@ -155,15 +130,26 @@ def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndar
         hidden = ~(d_of(cap) <= d_r - v)
         if np.any(hidden):
             cap[hidden] = np.ceil(shi_r[hidden] * float(base.quantile(1.0 - 1e-13))) + 1.0
-        x_hi[res] = _first_true(ks_r, cap, lambda k: d_of(k) <= d_r - v)
         # residual of the low-scale law lives at or below the crossing,
-        # cumulative mass D(k), non-decreasing in k
-        x_lo[res] = _first_true(
-            np.zeros_like(ks_r), np.maximum(ks_r - 1.0, 0.0), lambda k: d_of(k) >= v
-        )
+        # cumulative mass D(k), non-decreasing in k; the first n rows search
+        # the high law's residual over [ks, cap], the last n the low law's
+        # over [0, ks - 1]
+        n = len(v)
+        high = np.arange(2 * n) < n
+        level = np.concatenate((d_r - v, v))
+        shi2, slo2 = np.tile(shi_r, 2), np.tile(slo_r, 2)
 
-    x_first = np.where(swap, x_lo, x_hi)
-    x_second = np.where(swap, x_hi, x_lo)
+        def reached(k):
+            d = d_of(k, shi2, slo2)
+            return np.where(high, d <= level, d >= level)
+
+        both = _first_true(np.concatenate((ks_r, np.zeros_like(ks_r))),
+                           np.concatenate((cap, np.maximum(ks_r - 1.0, 0.0))), reached)
+        x_hi[res], x_lo[res] = both[:n], both[n:]
+
+    x_first[rest] = np.where(swap, x_lo, x_hi)
+    x_second[rest] = np.where(swap, x_hi, x_lo)
+    merged[rest] = merged_rest
     return x_first, x_second, merged
 
 
@@ -174,9 +160,9 @@ def coupled_draw(law: DiscretizedLaw, law_prime: DiscretizedLaw,
     Marginals are exact, ``P(X = X') = 1 - d_TV``, and the draw of the law
     with the larger scale is almost surely the larger count.  Every draw goes
     through ``_scaled_coupled``, whatever the scales or the tail: one
-    crossing test per draw, a closed-form quantile for a merged draw and a
-    capped ``sf`` bisection for each residual one.  Scalar unless ``size``
-    is given.
+    crossing test per draw at unequal scales, a closed-form quantile for a
+    merged draw and a capped ``sf`` bisection for each residual one.
+    Scalar unless ``size`` is given.
     """
     if law.base != law_prime.base:
         raise ConfigError("coupled_draw requires both laws to share the innovation spec")

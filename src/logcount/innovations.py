@@ -155,6 +155,15 @@ class HalfNormal(_Family):
         return np.where(y >= 0, -y / self.scale**2 * self.density(y), 0.0)
 
 
+def _mirror_sum(term, y, m):
+    """``term(y - m) + term(y + m)`` for ``y >= 0``, bit for bit.
+
+    At ``m = 0`` both terms are the same double (``y - 0.0 == y + 0.0``) and
+    ``a + a == 2a`` exactly, so one evaluation, doubled, gives the same bits.
+    """
+    return 2.0 * term(y) if m == 0.0 else term(y - m) + term(y + m)
+
+
 @dataclass(frozen=True)
 class HalfCauchy(_Family):
     """Absolute value of a Cauchy variable with the given location and scale.
@@ -168,7 +177,8 @@ class HalfCauchy(_Family):
     density is non-increasing iff ``m <= s/sqrt(3)``.  ``y p(y)`` is unchanged
     by ``y -> c/y``, so ``ln Y`` is symmetric about ``ln sqrt(c)``.  No
     moments of order one or higher exist, but all logarithmic moments used
-    here are finite.
+    here are finite.  The density, cdf and sf each sum a term at ``y - m``
+    and at ``y + m``; at ``m = 0`` ``_mirror_sum`` takes one term, doubled.
     """
 
     location: float = 0.0
@@ -191,14 +201,14 @@ class HalfCauchy(_Family):
         y = _as_float_array(y)
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, 0.0)
-        val = (s / math.pi) * (1.0 / ((yy - m) ** 2 + s * s) + 1.0 / ((yy + m) ** 2 + s * s))
+        val = (s / math.pi) * _mirror_sum(lambda z: 1.0 / (z ** 2 + s * s), yy, m)
         return np.where(y >= 0, val, 0.0)
 
     def cdf(self, y):
         y = _as_float_array(y)
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, 0.0)
-        val = (np.arctan((yy - m) / s) + np.arctan((yy + m) / s)) / math.pi
+        val = _mirror_sum(lambda z: np.arctan(z / s), yy, m) / math.pi
         return np.where(y > 0, val, 0.0)
 
     def sf(self, y):
@@ -207,8 +217,11 @@ class HalfCauchy(_Family):
         y = _as_float_array(y)
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, m + s)
-        stable = (np.arctan(s / (yy - m)) + np.arctan(s / (yy + m))) / math.pi
-        return np.where(y > m + s, stable, 1.0 - self.cdf(y))
+        tail = y > m + s
+        out = np.where(tail, _mirror_sum(lambda z: np.arctan(s / z), yy, m) / math.pi, 1.0)
+        if not tail.all():  # y <= m + s and NaN take the cdf
+            out[~tail] = 1.0 - self.cdf(y[~tail])
+        return out
 
     def quantile(self, u):
         u = _as_float_array(u)

@@ -7,10 +7,11 @@ import pytest
 from scipy import stats
 
 import logcount as lc
-from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index, _dense_coupled,
+from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index,
                                _first_true, _scaled_coupled)
 from logcount.errors import ConfigError
 from logcount.rng import chunk_bounds
+from oracles import dense_coupled
 
 EXP = lc.Exponential(1.0)
 HN = lc.HalfNormal.from_mean(1.0)
@@ -90,7 +91,7 @@ def test_fast_path_equals_dense_reference(spec, pairs):
     u = np.linspace(1e-9, 1 - 1e-9, 4001)
     for s1, s2 in pairs:
         law1, law2 = lc.DiscretizedLaw(spec, s1), lc.DiscretizedLaw(spec, s2)
-        xd, xpd, md = _dense_coupled(law1, law2, u)
+        xd, xpd, md = dense_coupled(law1, law2, u)
         xs, xps, ms = _scaled_coupled(spec, np.full_like(u, s1), np.full_like(u, s2), u)
         assert np.array_equal(xd, xs)
         assert np.array_equal(xpd, xps)
@@ -109,7 +110,7 @@ def test_fast_path_equals_dense_reference_heavy_tail():
     omega = 1.0 - lc.tv_distance(law1, law2)
     u = np.linspace(1e-6, 0.995, 2001)
     u = u[np.abs(u - omega) > 2 * tail]
-    xd, xpd, md = _dense_coupled(law1, law2, u, tail=tail)
+    xd, xpd, md = dense_coupled(law1, law2, u, tail=tail)
     xs, xps, ms = _scaled_coupled(spec, np.full_like(u, 1.0), np.full_like(u, 1.5), u)
     assert np.array_equal(xd, xs)
     assert np.array_equal(xpd, xps)
@@ -194,7 +195,9 @@ def test_crossing_index_matches_mpmath(spec):
 @pytest.mark.parametrize("spec,counts", [
     (EXP, [106, 55, 34, 19, 8, 4, 3, 0, 0, 0]),
     (lc.ChiSquare(6), [116, 64, 39, 20, 11, 5, 4, 1, 0, 0]),
-], ids=["exp", "chi2"])
+    (HC, [115, 66, 45, 23, 15, 8, 5, 2, 0, 0]),
+    (lc.HalfCauchy(4.0, 1.0), [192, 128, 86, 46, 27, 14, 8, 2, 0, 0]),
+], ids=["exp", "chi2", "hc", "hc4"])
 def test_beta_chunk_counts_pinned(spec, counts):
     # any change to the coupling that moves a single divergence count shows
     # here, not only in the benchmark digests
@@ -243,6 +246,56 @@ def test_first_true_terminates_above_2_pow_53():
         return k >= first
 
     assert np.array_equal(_first_true(lo, hi, pred), first)
+
+
+def test_stacked_first_true_equals_two_searches():
+    # _scaled_coupled runs both residual searches as one bisection over the
+    # stacked brackets; each row must end where its own search ends, however
+    # many more passes the other half takes
+    rng = np.random.default_rng(23)
+    n = 400
+    lo_a = np.floor(rng.uniform(0.0, 1e6, n))
+    hi_a = lo_a + np.floor(10.0 ** rng.uniform(0.0, 12.0, n))
+    lo_b = np.zeros(n)
+    hi_b = np.floor(10.0 ** rng.uniform(0.0, 3.0, n))
+    t_a = rng.uniform(lo_a, hi_a)
+    t_b = rng.uniform(0.0, hi_b)
+
+    def pred_a(k, t=t_a):
+        return k >= t
+
+    def pred_b(k, t=t_b):
+        return k * k >= t * t
+
+    high = np.arange(2 * n) < n
+    both = _first_true(np.concatenate((lo_a, lo_b)), np.concatenate((hi_a, hi_b)),
+                       lambda k: np.where(high, pred_a(k, np.tile(t_a, 2)),
+                                          pred_b(k, np.tile(t_b, 2))))
+    assert np.array_equal(both[:n], _first_true(lo_a, hi_a, pred_a))
+    assert np.array_equal(both[n:], _first_true(lo_b, hi_b, pred_b))
+
+
+@pytest.mark.parametrize("spec", [EXP, lc.ChiSquare(6), HC, lc.HalfCauchy(4.0, 1.0)], ids=str)
+def test_mixed_equal_and_unequal_scales_match_one_entry_calls(spec):
+    # equal scales take the one-quantile shortcut, the rest the general path;
+    # every entry of a mixed batch must keep the bits of a call on it alone
+    rng = np.random.default_rng(29)
+    n = 300
+    sigma = np.exp(rng.uniform(-2.0, 9.0, n))
+    kind = rng.integers(0, 3, n)
+    sigma_prime = np.where(kind == 0, sigma,
+                           np.where(kind == 1, sigma * (1.0 + rng.uniform(0.0, 1e-3, n)),
+                                    sigma * np.exp(rng.uniform(-1.0, 1.0, n))))
+    flip = rng.random(n) < 0.5
+    sigma, sigma_prime = np.where(flip, sigma_prime, sigma), np.where(flip, sigma, sigma_prime)
+    u = rng.random(n)
+    u[:4] = [0.0, 1e-300, np.nextafter(1.0, 0.0), 0.5]
+    x, xp, merged = _scaled_coupled(spec, sigma, sigma_prime, u)
+    assert merged[kind == 0].all() and np.array_equal(x[kind == 0], xp[kind == 0])
+    assert not merged[kind != 0].all()
+    for i in range(n):
+        xi, xpi, mi = _scaled_coupled(spec, sigma[i:i + 1], sigma_prime[i:i + 1], u[i:i + 1])
+        assert (xi[0], xpi[0], mi[0]) == (x[i], xp[i], merged[i]), i
 
 
 def test_marginals_pass_gof_both_coordinates():

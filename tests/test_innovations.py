@@ -198,6 +198,36 @@ def test_half_cauchy_monotone_iff_location_at_most_scale_over_sqrt3(m, monotone)
     assert rises is not monotone
 
 
+def _two_term_half_cauchy(m, s, y):
+    """(cdf, sf, density) of HalfCauchy(m, s) as the sums of both terms."""
+    y = np.asarray(y, dtype=float)
+    yy = np.maximum(y, 0.0)
+    cdf = np.where(y > 0, (np.arctan((yy - m) / s) + np.arctan((yy + m) / s)) / math.pi, 0.0)
+    yt = np.maximum(y, m + s)
+    stable = (np.arctan(s / (yt - m)) + np.arctan(s / (yt + m))) / math.pi
+    sf = np.where(y > m + s, stable, 1.0 - cdf)
+    val = (s / math.pi) * (1.0 / ((yy - m) ** 2 + s * s) + 1.0 / ((yy + m) ** 2 + s * s))
+    return cdf, sf, np.where(y >= 0, val, 0.0)
+
+
+@pytest.mark.parametrize("location", [0.0, -0.0])
+@pytest.mark.parametrize("s", [1.0, 0.3, 7e5])
+def test_half_cauchy_at_location_zero_has_the_two_term_bits(location, s):
+    # at m = 0 the two terms are equal doubles, so one doubled term must give
+    # every bit of their sum, on both sides of the sf switch at m + s
+    spec = lc.HalfCauchy(location, s)
+    edge = np.nextafter(s, [0.0, np.inf])
+    grid = np.concatenate([[0.0, -0.0, -1.0, 5e-324, s, 1e300, np.inf, -np.inf, np.nan], edge,
+                           s * np.exp(np.random.default_rng(3).uniform(-40.0, 40.0, 3000))])
+    inputs = [grid] + [np.float64(y) for y in grid[:12]] + [float(y) for y in grid[:12]]
+    with np.errstate(over="ignore"):  # the squares overflow at 1e300 on both paths
+        for y in inputs:
+            got = (spec.cdf(y), spec.sf(y), spec.density(y))
+            for g, want in zip(got, _two_term_half_cauchy(0.0, s, y)):
+                assert np.shape(g) == np.shape(want)
+                assert np.asarray(g).tobytes() == np.asarray(want).tobytes(), y
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ConfigError):
         lc.Exponential(0.0)
