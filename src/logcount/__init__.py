@@ -30,9 +30,7 @@ from .estimation import (
     TrendFit,
     asymptotic_sigma2,
     ensemble_theta_hats,
-    loglog_sum_check,
     mean_log_curve,
-    nn_mean,
     nn_means,
     t_statistic,
     theta_bar_mc,
@@ -49,8 +47,6 @@ from .innovations import (
     InnovationSpec,
     compute_constants,
     innovation_from_json,
-    innovation_to_json,
-    sample_y,
     tv_bound_check,
     tv_distance,
 )
@@ -58,9 +54,7 @@ from .process import (
     ExogenousSpec,
     ModelParams,
     Trajectory,
-    initial_law,
     simulate,
-    step,
     theorem1_bound,
     theoretical_autocovariance,
     validate,
@@ -97,18 +91,12 @@ __all__ = [
     "coverage_experiment",
     "ensemble_theta_hats",
     "estimate_beta",
-    "initial_law",
     "innovation_from_json",
-    "innovation_to_json",
-    "loglog_sum_check",
     "mean_log_curve",
     "multipliers",
-    "nn_mean",
     "nn_means",
     "run_coupled_chains",
-    "sample_y",
     "simulate",
-    "step",
     "t_star",
     "t_star_variance",
     "t_statistic",

@@ -161,15 +161,10 @@ def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
 
 
 def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
-           size: Optional[int] = None, multiplier_draws: Optional[np.ndarray] = None):
-    """Bootstrap statistic(s): weighted, window-centered log counts times
-    fresh multiplier paths.  Scalar unless ``size`` is given."""
-    d = _summands(fit, cfg.N_n)
-    if multiplier_draws is None:
-        vals = _draws(fit.n, 1 if size is None else size)(rng, (cfg.l_n,), (d,))[0, 0]
-    else:
-        vals = np.atleast_2d(np.asarray(multiplier_draws, dtype=float)) @ d
-    return float(vals[0]) if size is None else vals
+           size: int) -> np.ndarray:
+    """``size`` bootstrap statistics: weighted, window-centered log counts
+    times fresh multiplier paths."""
+    return _draws(fit.n, size)(rng, (cfg.l_n,), (_summands(fit, cfg.N_n),))[0, 0]
 
 
 def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
@@ -265,13 +260,12 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
 
 def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float, int]],
                         alphas: Sequence[float], mc_loops: int, B: int,
-                        master_seed: int, theta_bar: Optional[float] = None,
-                        theta_bar_loops: int = 20_000,
+                        master_seed: int, theta_bar_loops: int = 20_000,
                         threads: int = 1) -> list[CoverageCell]:
     """Fraction of Monte Carlo loops whose interval covers the target.
 
     The target is estimated once per (params, n) from ``theta_bar_loops``
-    independent replicates unless supplied.  One row per (l_n, N_n, alpha).
+    independent replicates.  One row per (l_n, N_n, alpha).
     """
     validate(params)
     if mc_loops < 1:
@@ -281,9 +275,8 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     for l_n, N_n in cells:  # each (cell, alpha) must be a valid bootstrap tuning
         for alpha in alphas:
             BootstrapConfig(l_n=l_n, N_n=N_n, B=B, alpha=alpha)
-    if theta_bar is None:
-        t_seed = _rng.derive_seed(master_seed, _rng.NS_TARGET)
-        theta_bar = theta_bar_mc(params, n, theta_bar_loops, t_seed, threads).theta_bar
+    t_seed = _rng.derive_seed(master_seed, _rng.NS_TARGET)
+    theta_bar = theta_bar_mc(params, n, theta_bar_loops, t_seed, threads).theta_bar
     cells_t = tuple((float(l), int(w)) for l, w in cells)
     alphas_t = tuple(float(a) for a in alphas)
     worker = partial(_coverage_chunk, params, n, cells_t, alphas_t, B, theta_bar, master_seed)

@@ -526,6 +526,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # sizes that fit an array index but not this machine
+        print(f"config error: the configured sizes need more memory than is free: {exc}",
+              file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -28,8 +28,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigError
 from .innovations import DiscretizedLaw, _crossing_index, _discrete_quantile
-from .process import (ModelParams, _evolve, _exo_term, _next_sigma, _theorem1_brace,
-                      theorem1_bound, validate)
+from .process import (ModelParams, _check_shape, _evolve, _exo_term, _next_sigma,
+                      _theorem1_brace, theorem1_bound, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +154,21 @@ def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndar
 
 
 def coupled_draw(law: DiscretizedLaw, law_prime: DiscretizedLaw,
-                 rng: np.random.Generator, size=None):
-    """Draw (X, X', merged) from the ordered maximal coupling.
+                 rng: np.random.Generator, size):
+    """Draw ``size`` triples (X, X', merged) from the ordered maximal coupling.
 
     Marginals are exact, ``P(X = X') = 1 - d_TV``, and the draw of the law
     with the larger scale is almost surely the larger count.  Every draw goes
     through ``_scaled_coupled``, whatever the scales or the tail: one
     crossing test per draw at unequal scales, a closed-form quantile for a
     merged draw and a capped ``sf`` bisection for each residual one.
-    Scalar unless ``size`` is given.
     """
     if law.base != law_prime.base:
         raise ConfigError("coupled_draw requires both laws to share the innovation spec")
-    u = rng.random(1 if size is None else size)
-    x, xp, merged = _scaled_coupled(
+    u = rng.random(size)
+    return _scaled_coupled(
         law.base, np.full(u.shape, law.sigma), np.full(u.shape, law_prime.sigma), u
     )
-    if size is None:
-        return float(x[0]), float(xp[0]), bool(merged[0])
-    return x, xp, merged
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +185,6 @@ class CoupledRun:
     x: np.ndarray
     x_prime: np.ndarray
     merged: np.ndarray       # per coupled step t = k+1..k+H, True if X_t == X_t'
-
-    def differs(self) -> np.ndarray:
-        """Indicator of X_t != X_t' over the coupled steps."""
-        return ~self.merged
-
-    def diff_indicator(self, n: int, horizon: int) -> bool:
-        """True if the chains differ anywhere in [k+n, k+n+horizon]."""
-        return bool(self.differs()[n - 1:n + horizon].any())
 
 
 @dataclass
@@ -219,9 +207,9 @@ class CouplingExperimentResult:
     theorem_bound: np.ndarray
     truncation_bound: np.ndarray
 
-    def log_slope(self, min_hits: int = 10):
-        """LS slope of ln(beta_hat) over horizons with at least min_hits hits."""
-        keep = self.beta_hat >= min_hits / self.replicates
+    def log_slope(self):
+        """LS slope of ln(beta_hat) over horizons with at least 10 hits."""
+        keep = self.beta_hat >= 10 / self.replicates
         if keep.sum() < 2:
             return None
         x = self.horizons[keep].astype(float)
@@ -254,7 +242,9 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
-    u = _rng.uniform_rows(master_seed, lo, hi, _uniform_width(params, k, horizon))
+    width = _uniform_width(params, k, horizon)
+    _check_shape(R, width)
+    u = _rng.uniform_rows(master_seed, lo, hi, width)
     off = 2 * (k + 1) + horizon
     uc = u[:, 2 * (k + 1): off]
     sig = xs = None

@@ -87,23 +87,6 @@ def asymptotic_sigma2(params: ModelParams,
     return k.var_ln_y * (1.0 - params.a) ** 2 / (1.0 - (params.a + params.b)) ** 2
 
 
-def nn_mean(x, t: int, window: int) -> float:
-    """Boundary-aware moving average of ln(X_s+1) over |s - t| <= window.
-
-    ``t`` is the 1-based time index; the divisor is the realized number of
-    neighbors inside {1, ..., n}.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if not 1 <= t <= n:
-        raise ConfigError(f"index t={t} outside 1..{n}")
-    if window < 1:
-        raise ConfigError("window must be >= 1")
-    lo = max(1, t - window)
-    hi = min(n, t + window)
-    return float(np.log1p(x[lo - 1:hi]).mean())
-
-
 def nn_means(transformed: np.ndarray, window: int) -> np.ndarray:
     """Moving averages of an already log-transformed series for every t.
 
@@ -121,22 +104,6 @@ def nn_means(transformed: np.ndarray, window: int) -> np.ndarray:
     lo = np.maximum(1, t - window)
     hi = np.minimum(n, t + window)
     return anchor + (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
-
-
-def loglog_sum_check(n: int, h: int) -> tuple[float, float, float]:
-    """(exact, leading, remainder) for sum ln(t+h) ln(t), 1 <= t, t+h <= n.
-
-    The exact sum equals ``n ln(n)^2`` up to a remainder of order n ln(n);
-    callers check ``|remainder| / (n ln n)`` against their constant.
-    """
-    if n < abs(h) + 2:
-        raise ConfigError("need n >= |h| + 2")
-    lo = max(1, 1 - h)
-    hi = n - max(h, 0)
-    t = np.arange(lo, hi + 1, dtype=float)
-    exact = float(np.log(t + h) @ np.log(t))
-    leading = n * math.log(n) ** 2
-    return exact, leading, exact - leading
 
 
 def _theta_chunk(params: ModelParams, n: int, master_seed: int, lo: int, hi: int) -> np.ndarray:

@@ -107,10 +107,6 @@ class Exponential(_Family):
         # rate y (1/s_lo - 1/s_hi) = ln(s_hi/s_lo)
         return s_hi * _log_ratio_factor(s_lo, s_hi) / self.rate
 
-    def density_slope(self, y):
-        y = _as_float_array(y)
-        return np.where(y >= 0, -self.rate**2 * np.exp(-self.rate * np.maximum(y, 0.0)), 0.0)
-
 
 @dataclass(frozen=True)
 class HalfNormal(_Family):
@@ -122,11 +118,6 @@ class HalfNormal(_Family):
     def __post_init__(self):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ConfigError(f"half-normal scale must be positive, got {self.scale}")
-
-    @classmethod
-    def from_mean(cls, mean: float) -> "HalfNormal":
-        """Family member with E[Y] = mean (mean = scale * sqrt(2/pi))."""
-        return cls(scale=mean * math.sqrt(math.pi / 2.0))
 
     def density(self, y):
         y = _as_float_array(y)
@@ -149,10 +140,6 @@ class HalfNormal(_Family):
     def crossing(self, s_lo, s_hi):
         # y^2 (1/s_lo^2 - 1/s_hi^2) / (2 scale^2) = ln(s_hi/s_lo)
         return self.scale * s_hi * np.sqrt(2.0 * _log_ratio_factor(s_lo, s_hi) * s_lo / (s_lo + s_hi))
-
-    def density_slope(self, y):
-        y = _as_float_array(y)
-        return np.where(y >= 0, -y / self.scale**2 * self.density(y), 0.0)
 
 
 def _mirror_sum(term, y, m):
@@ -245,15 +232,6 @@ class HalfCauchy(_Family):
         # the one positive crossing, for every location
         return math.hypot(self.location, self.scale) * np.sqrt(s_lo) * np.sqrt(s_hi)
 
-    def density_slope(self, y):
-        y = _as_float_array(y)
-        m, s = abs(self.location), self.scale
-        yy = np.maximum(y, 0.0)
-        val = -(2.0 * s / math.pi) * (
-            (yy - m) / ((yy - m) ** 2 + s * s) ** 2 + (yy + m) / ((yy + m) ** 2 + s * s) ** 2
-        )
-        return np.where(y >= 0, val, 0.0)
-
 
 @dataclass(frozen=True)
 class ChiSquare(_Family):
@@ -306,12 +284,6 @@ class ChiSquare(_Family):
         # y (1/s_lo - 1/s_hi) / 2 = (df/2) ln(s_hi/s_lo)
         return self.df * s_hi * _log_ratio_factor(s_lo, s_hi)
 
-    def density_slope(self, y):
-        y = _as_float_array(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.density(y) * ((self.df / 2.0 - 1.0) / np.maximum(y, np.finfo(float).tiny) - 0.5)
-        return np.where(y > 0, val, 0.0)
-
 
 InnovationSpec = Union[Exponential, HalfNormal, HalfCauchy, ChiSquare]
 
@@ -335,20 +307,6 @@ def innovation_from_json(obj: dict) -> InnovationSpec:
         return _FAMILIES[family](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for innovation family {family!r}: {exc}") from None
-
-
-def innovation_to_json(spec: InnovationSpec) -> dict:
-    out = {"family": spec.family}
-    for name in spec.__dataclass_fields__:
-        out[name] = getattr(spec, name)
-    return out
-
-
-def sample_y(spec: InnovationSpec, rng: np.random.Generator, size=None):
-    """Inverse-transform draw(s) of the innovation ``Y``."""
-    u = rng.random() if size is None else rng.random(size)
-    q = spec.quantile(u)
-    return float(q) if size is None else q
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +336,8 @@ class DistributionConstants:
     var_ln_y: float
 
 
-def _quad(fn, lo, hi, *, points=None) -> float:
-    val, err = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400, points=points)
+def _quad(fn, lo, hi) -> float:
+    val, err = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
     if not math.isfinite(val) or err > 1e-6:
         raise NumericError(
             f"quadrature failed on [{lo}, {hi}]: value={val!r}, abserr={err!r}"
@@ -479,18 +437,9 @@ class DiscretizedLaw:
         """Smallest k with CDF(k) >= u."""
         return _discrete_quantile(self.base, self.sigma, u)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random() if size is None else rng.random(size)
-        x = np.floor(self.sigma * self.base.quantile(u))
-        return float(x) if size is None else x
-
     def support_bound(self, tail: float = TAIL) -> int:
         """k such that the mass above k is below ``tail``."""
         return int(math.ceil(self.sigma * float(self.base.quantile(1.0 - tail))))
-
-    def table(self, tail: float = TAIL):
-        """(k grid, pmf values, cumulative values) up to the tail bound."""
-        return _law_table(self.base, float(self.sigma), float(tail))
 
 
 def _discrete_quantile(base: InnovationSpec, sigma, u):
@@ -552,24 +501,6 @@ def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
     return np.where(ge, k0, k0 + 1.0)
 
 
-@lru_cache(maxsize=64)
-def _law_table(base: InnovationSpec, sigma: float, tail: float):
-    law = DiscretizedLaw(base, sigma)
-    kmax = law.support_bound(tail)
-    if kmax > DENSE_MAX:
-        raise NumericError(
-            f"pmf table of {kmax + 1} entries exceeds the dense limit; "
-            "use the scale-aware routines for heavy-tailed bases"
-        )
-    ks = np.arange(kmax + 1, dtype=float)
-    cdf = base.cdf((ks + 1.0) / sigma)
-    pmf = np.diff(np.concatenate(([0.0], cdf)))
-    pmf.setflags(write=False)
-    cdf.setflags(write=False)
-    ks.setflags(write=False)
-    return ks, pmf, cdf
-
-
 # ---------------------------------------------------------------------------
 # Total variation distance
 # ---------------------------------------------------------------------------
@@ -602,8 +533,9 @@ def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
     1 - 1e-4 quantile or at ``DENSE_MAX`` and the sum goes on over doubling
     blocks ``(k, 2k]``: the pmf difference changes sign once, at
     ``_crossing_index``, so each block is a difference of ``sf`` values,
-    and the one block that holds that index is split there.  Either way the
-    mass above the last index closes the sum.
+    taken once per block edge and carried into the next block, and the one
+    block that holds that index is split there.  Either way the mass above
+    the last index closes the sum.
     """
     if law1.base != law2.base:
         raise ConfigError("tv_distance requires both laws to share the innovation spec")
@@ -619,18 +551,21 @@ def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
     if heavy:
         k = min(int(math.ceil(s_hi * float(base.quantile(1.0 - 1e-4)))), DENSE_MAX)
     acc = _head_sum(law1, law2, k)
+
+    def sfs(j):
+        return float(law1.sf(j)), float(law2.sf(j))
+
+    edge = sfs(k)  # both sf values at k, carried from block to block
     if heavy:
         # p_hi - p_lo < 0 below the crossing index and >= 0 from it on, so the
         # block that holds the index splits there into two one-signed runs
         split = float(_crossing_index(base, np.array([s_lo]), np.array([s_hi]))[0]) - 1.0
-        while max(float(law1.sf(k)), float(law2.sf(k))) >= TAIL and k <= 1e17:
-            edges = [k, split, 2 * k] if k < split < 2 * k else [k, 2 * k]
-            for a, b in zip(edges[:-1], edges[1:]):
-                d1 = float(law1.sf(a)) - float(law1.sf(b))
-                d2 = float(law2.sf(a)) - float(law2.sf(b))
-                acc += abs(d1 - d2)
-            k = 2 * k
-    return 0.5 * (acc + abs(float(law1.sf(k)) - float(law2.sf(k))))
+        while max(edge) >= TAIL and k <= 1e17:
+            vals = [edge, sfs(split), sfs(2 * k)] if k < split < 2 * k else [edge, sfs(2 * k)]
+            for (a1, a2), (b1, b2) in zip(vals[:-1], vals[1:]):
+                acc += abs((a1 - b1) - (a2 - b2))
+            k, edge = 2 * k, vals[-1]
+    return 0.5 * (acc + abs(edge[0] - edge[1]))
 
 
 @dataclass(frozen=True)
@@ -652,18 +587,15 @@ class TVBoundReport:
         return min(r.slack for r in self.rows)
 
 
-def tv_bound_check(spec: InnovationSpec, sigma_grid, *, tolerance: float = 1e-9) -> TVBoundReport:
+def tv_bound_check(spec: InnovationSpec, sigma_grid) -> TVBoundReport:
     """Check ``tv(P_s, P_s') <= big_gamma * |ln s - ln s'|`` over a grid.
 
-    ``sigma_grid`` is either a flat list of scales (all unordered pairs are
-    formed) or an explicit list of (sigma, sigma') pairs.  A violation beyond
-    ``tolerance`` raises NumericError.
+    ``sigma_grid`` is a flat list of scales; every pair ``(grid[i], grid[j])``
+    with ``i <= j`` is checked, in row order.  A violation beyond 1e-9
+    raises NumericError.
     """
-    grid = list(sigma_grid)
-    if grid and np.ndim(grid[0]) == 0:
-        pairs = [(float(a), float(b)) for i, a in enumerate(grid) for b in grid[i:]]
-    else:
-        pairs = [(float(a), float(b)) for a, b in grid]
+    grid = [float(s) for s in sigma_grid]
+    pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]
     if not pairs:
         raise ConfigError("tv_bound_check needs at least one scale")
     big_gamma = compute_constants(spec).big_gamma
@@ -673,7 +605,7 @@ def tv_bound_check(spec: InnovationSpec, sigma_grid, *, tolerance: float = 1e-9)
         bound = big_gamma * abs(math.log(s) - math.log(sp))
         rows.append(TVBoundRow(sigma=s, sigma_prime=sp, tv=tv, bound=bound, slack=bound - tv))
     report = TVBoundReport(big_gamma=big_gamma, rows=tuple(rows))
-    if report.min_slack < -tolerance:
+    if report.min_slack < -1e-9:
         worst = min(rows, key=lambda r: r.slack)
         raise NumericError(
             "total variation bound violated: "

@@ -23,12 +23,7 @@ from scipy.special import ndtri
 
 from . import rng as _rng
 from .errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
-from .innovations import (
-    DistributionConstants,
-    DiscretizedLaw,
-    InnovationSpec,
-    compute_constants,
-)
+from .innovations import DistributionConstants, InnovationSpec, compute_constants
 
 
 @dataclass(frozen=True)
@@ -169,27 +164,6 @@ def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
     return np.exp(log_sigma)
 
 
-def step(sigma_prev: float, x_prev: float, t: int, params: ModelParams,
-         rng: np.random.Generator):
-    """Advance the recursion one step; returns (sigma_t, X_t, C_{t-1}, Y_t).
-
-    For the iid exogenous kind the generator is consumed in the order
-    (exogenous draw, innovation draw).
-    """
-    if not (sigma_prev > 0 and math.isfinite(sigma_prev)):
-        raise ConfigError(f"sigma_prev must be finite and positive, got {sigma_prev}")
-    if not (x_prev >= 0 and math.isfinite(x_prev) and x_prev == math.floor(x_prev)):
-        raise ConfigError(f"x_prev must be a non-negative integer count, got {x_prev}")
-    if not t >= 1:
-        raise ConfigError(f"step index t must be >= 1, got {t}")
-    u_c = rng.random() if params.exogenous.kind == "iid" else None
-    c_val = float(_exo_term(params, t, u_c))
-    sigma_t = float(_next_sigma(params, t, sigma_prev, x_prev, c_val))
-    y_t = float(params.innovation.quantile(rng.random()))
-    x_t = math.floor(sigma_t * y_t)
-    return sigma_t, x_t, c_val, y_t
-
-
 def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarray] = None):
     """The recursion over R replicates, in one loop for every R.
 
@@ -238,13 +212,22 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     return sig, xs, cs, ys
 
 
-def _evolve_rows(params: ModelParams, n: int, uniforms):
-    """``_evolve`` on ``uniforms(width)``, an (R, width) matrix whose rows hold
+def _check_shape(rows: int, width: int) -> None:
+    """ConfigError for a (rows, width) float64 matrix whose byte count no
+    array index can hold, before anything is allocated."""
+    if rows * width > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"a {rows} x {width} matrix of draws is too large for any array")
+
+
+def _evolve_rows(params: ModelParams, n: int, rows: int, uniforms):
+    """``_evolve`` on ``uniforms(width)``, a (rows, width) matrix whose rows hold
     the n+1 innovation uniforms followed, for the iid kind, by n exogenous ones."""
     if n < 0:
         raise ConfigError("trajectory length must be >= 0")
     iid = params.exogenous.kind == "iid"
-    u = uniforms(2 * n + 1 if iid else n + 1)
+    width = 2 * n + 1 if iid else n + 1
+    _check_shape(rows, width)
+    u = uniforms(width)
     return _evolve(params, n, u[:, :n + 1], u[:, n + 1:] if iid else None)
 
 
@@ -252,7 +235,7 @@ def simulate(params: ModelParams, n: int, master_seed: int) -> Trajectory:
     """Simulate (sigma_t, X_t) for t = 0..n, deterministically in the seed."""
     validate(params)
     sig, xs, cs, ys = _evolve_rows(
-        params, n, lambda width: _rng.stream(master_seed).random((1, width)))
+        params, n, 1, lambda width: _rng.stream(master_seed).random((1, width)))
     return Trajectory(sigma=sig[0], x=xs[0], c_exo=cs[0], y=ys[0])
 
 
@@ -262,7 +245,8 @@ def simulate_replicate_block(params: ModelParams, n: int, master_seed: int,
 
     Returns arrays of shape (hi-lo, n+1): sigma, x.
     """
-    sig, xs, _, _ = _evolve_rows(params, n, partial(_rng.uniform_rows, master_seed, lo, hi))
+    sig, xs, _, _ = _evolve_rows(params, n, hi - lo,
+                                 partial(_rng.uniform_rows, master_seed, lo, hi))
     return sig, xs
 
 
@@ -303,7 +287,3 @@ def theoretical_autocovariance(params: ModelParams, u: int,
         return v * (params.b**2 / (1.0 - ab**2) + 1.0)
     return v * (params.b**2 * ab**u / (1.0 - ab**2) + params.b * ab ** (u - 1))
 
-
-def initial_law(params: ModelParams) -> DiscretizedLaw:
-    """Law of X_0, the discretization of the initial intensity."""
-    return DiscretizedLaw(params.innovation, params.sigma0)

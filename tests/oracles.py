@@ -1,12 +1,23 @@
 """Exact reference constructions that the tests compare the fast paths against.
 
 No program path calls them; they live here, beside the tests, and not in
-``src/logcount``.
+``src/logcount``:
+
+* ``dense_coupled``, the ordered maximal coupling from explicit pmf tables,
+* ``nn_mean``, the moving-window mean of ``ln(X_s + 1)`` at one time index,
+  the scalar reference of ``estimation.nn_means``,
+* ``density_slope``, the derivative ``p'(y)`` of the chi-square and
+  half-Cauchy densities, which ``compute_constants`` integrates in closed
+  form, and
+* ``loglog_sum_check``, the sum ``sum_t ln(t+h) ln(t)`` against its leading
+  term ``n ln(n)^2``, which the trend weights rest on.
 """
+import math
+
 import numpy as np
 
-from logcount.errors import NumericError
-from logcount.innovations import DENSE_MAX, DiscretizedLaw
+from logcount.errors import ConfigError, NumericError
+from logcount.innovations import DENSE_MAX, ChiSquare, DiscretizedLaw, HalfCauchy
 
 
 def dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
@@ -49,3 +60,52 @@ def dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
     x[~merged] = np.minimum(np.searchsorted(cum_res_p, v, side="left"), m - 1)
     xp[~merged] = np.minimum(np.searchsorted(cum_res_q, v, side="left"), m - 1)
     return x, xp, merged
+
+
+def nn_mean(x, t: int, window: int) -> float:
+    """Boundary-aware moving average of ln(X_s+1) over |s - t| <= window.
+
+    ``t`` is the 1-based time index; the divisor is the realized number of
+    neighbors inside {1, ..., n}.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if not 1 <= t <= n:
+        raise ConfigError(f"index t={t} outside 1..{n}")
+    if window < 1:
+        raise ConfigError("window must be >= 1")
+    lo = max(1, t - window)
+    hi = min(n, t + window)
+    return float(np.log1p(x[lo - 1:hi]).mean())
+
+
+def density_slope(spec, y):
+    """``p'(y)`` of a chi-square or half-Cauchy innovation, 0 below the origin."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(spec, ChiSquare):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = spec.density(y) * ((spec.df / 2.0 - 1.0) / np.maximum(y, np.finfo(float).tiny) - 0.5)
+        return np.where(y > 0, val, 0.0)
+    assert isinstance(spec, HalfCauchy)
+    m, s = abs(spec.location), spec.scale
+    yy = np.maximum(y, 0.0)
+    val = -(2.0 * s / math.pi) * (
+        (yy - m) / ((yy - m) ** 2 + s * s) ** 2 + (yy + m) / ((yy + m) ** 2 + s * s) ** 2
+    )
+    return np.where(y >= 0, val, 0.0)
+
+
+def loglog_sum_check(n: int, h: int) -> tuple[float, float, float]:
+    """(exact, leading, remainder) for sum ln(t+h) ln(t), 1 <= t, t+h <= n.
+
+    The exact sum equals ``n ln(n)^2`` up to a remainder of order n ln(n);
+    callers check ``|remainder| / (n ln n)`` against their constant.
+    """
+    if n < abs(h) + 2:
+        raise ConfigError("need n >= |h| + 2")
+    lo = max(1, 1 - h)
+    hi = n - max(h, 0)
+    t = np.arange(lo, hi + 1, dtype=float)
+    exact = float(np.log(t + h) @ np.log(t))
+    leading = n * math.log(n) ** 2
+    return exact, leading, exact - leading

@@ -203,6 +203,9 @@ def files(tmp_path_factory):
     # a worker count below 1 is refused, as a negative seed is
     ("simulate --threads 0", {"model": MODEL, "n": 5}, 2),
     ("mixing --threads -1", {"model": MODEL, "k": 3, "replicates": 20, "n_max": 3}, 2),
+    # sizes no array can hold are refused before anything is allocated
+    ("simulate", {"model": MODEL, "n": 10**19}, 2),
+    ("mixing", {"model": MODEL, "k": 5, "replicates": 10, "n_max": 3, "R": 10**18}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

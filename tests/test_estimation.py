@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import logcount as lc
 from logcount.errors import ConfigError
+from oracles import loglog_sum_check, nn_mean
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -90,12 +91,12 @@ def test_weights_normalization_property(n):
 def test_nn_mean_constant_series():
     x = np.full(40, 4)
     for t in (1, 7, 40):
-        assert lc.nn_mean(x, t, 5) == pytest.approx(math.log(5.0), rel=1e-14)
+        assert nn_mean(x, t, 5) == pytest.approx(math.log(5.0), rel=1e-14)
 
 
 def test_nn_mean_boundary_count():
     x = np.arange(20)
-    got = lc.nn_mean(x, 1, 5)
+    got = nn_mean(x, 1, 5)
     assert got == pytest.approx(float(np.log1p(x[:6]).mean()))
 
 
@@ -108,7 +109,7 @@ def test_nn_mean_linear_log_series_symmetric():
     # integer counts can only approximate ln(x+1) = s; the window mean then
     # tracks the center up to the rounding perturbation
     x = np.round(np.expm1(s))
-    assert lc.nn_mean(x, t, window) == pytest.approx(s[t - 1], abs=1e-3)
+    assert nn_mean(x, t, window) == pytest.approx(s[t - 1], abs=1e-3)
 
 
 def test_nn_means_matches_scalar_op():
@@ -117,7 +118,7 @@ def test_nn_means_matches_scalar_op():
     transformed = np.log1p(x.astype(float))
     batch = lc.nn_means(transformed, 6)
     for t in range(1, 38):
-        assert batch[t - 1] == pytest.approx(lc.nn_mean(x, t, 6), rel=1e-14)
+        assert batch[t - 1] == pytest.approx(nn_mean(x, t, 6), rel=1e-14)
 
 
 def test_nn_mean_bias_sandwich():
@@ -184,7 +185,7 @@ def test_asymptotic_sigma2_values():
 # ---------------------------------------------------------------------------
 
 def test_loglog_sum_direct_oracle():
-    exact, leading, remainder = lc.loglog_sum_check(10, 0)
+    exact, leading, remainder = loglog_sum_check(10, 0)
     oracle = sum(math.log(t) ** 2 for t in range(1, 11))
     assert exact == pytest.approx(oracle, rel=1e-12)
     assert exact == pytest.approx(27.650244, abs=1e-6)
@@ -193,13 +194,13 @@ def test_loglog_sum_direct_oracle():
 
 def test_loglog_sum_reflection_symmetry():
     for n, h in [(50, 3), (1000, 5)]:
-        plus = lc.loglog_sum_check(n, h)[0]
-        minus = lc.loglog_sum_check(n, -h)[0]
+        plus = loglog_sum_check(n, h)[0]
+        minus = loglog_sum_check(n, -h)[0]
         assert plus == pytest.approx(minus, rel=1e-12)
 
 
 def test_loglog_remainder_ratio_bounded():
     for n in (100, 10_000, 1_000_000):
         for h in (0, 1, -1, 5, -5):
-            exact, leading, remainder = lc.loglog_sum_check(n, h)
+            exact, leading, remainder = loglog_sum_check(n, h)
             assert abs(remainder) / (n * math.log(n)) <= 2.5

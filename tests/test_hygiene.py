@@ -1,8 +1,9 @@
 """Static checks on the package source with the standard library's ``ast``.
 
 They stand in for a linter: an import nothing uses, a private helper nothing
-calls and a method or property nothing reads are all dead code, and an
-import inside a function hides a module's dependencies from its header.
+calls, a method or property nothing reads and a public function or class
+that only the tests call are all dead code, and an import inside a function
+hides a module's dependencies from its header.
 """
 import ast
 from pathlib import Path
@@ -73,6 +74,33 @@ def test_no_unreferenced_methods():
                                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                                 and not fn.name.startswith("__") and fn.name not in used)
     assert findings == [], f"methods and properties nothing references: {findings}"
+
+
+# Public definitions that only the tests call, each kept for a reason.
+TEST_ONLY_PUBLIC = {
+    "theoretical_autocovariance": "paper math: the stationary autocovariance of ln(X_t + 1)",
+    "mean_log_curve": "paper math: Monte Carlo means of ln(X_t + 1), whose slope is theta",
+    "run_coupled_chains": "paper math: one coupled pair with its paths, the mixing experiment's unit",
+    "t_star_variance": "paper math: the exact conditional variance of the bootstrap statistic",
+    "coupled_draw": "the public single draw of the ordered maximal coupling",
+    "multipliers": "the paper's multiplier process, the bit-for-bit reference of bootstrap._draws",
+}
+
+
+def test_public_definitions_have_a_program_caller():
+    # a caller is the package itself (its re-exports aside) or the benchmark
+    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(parse(path)) for path in callers))
+    defined, findings = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+                if node.name not in used and node.name not in TEST_ONLY_PUBLIC:
+                    findings.append(f"{path.stem}.{node.name}")
+    assert findings == [], f"public definitions only the tests call: {findings}"
+    assert set(TEST_ONLY_PUBLIC) <= defined
 
 
 def test_no_function_local_imports():

@@ -5,7 +5,7 @@ import pytest
 
 import logcount as lc
 from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
-from logcount.process import simulate_replicate_block
+from logcount.process import _exo_term, _next_sigma, simulate_replicate_block
 from logcount.rng import CHUNK, NS_SIM, SPAN_ELEMENTS, span, stream, uniform_rows
 
 EXP = lc.Exponential(1.0)
@@ -57,42 +57,34 @@ def test_exogenous_spec_mean_abs_dev():
 
 
 # ---------------------------------------------------------------------------
-# step
+# one step of the recursion
 # ---------------------------------------------------------------------------
+
+def step(params, t, sigma_prev, x_prev):
+    """(sigma_t, C_{t-1}) of the trend recursion, from the kernels every path steps."""
+    c_val = _exo_term(params, t, None)
+    return float(_next_sigma(params, t, sigma_prev, x_prev, c_val)), c_val
+
 
 def test_step_degenerate_recursion_is_pure_trend():
     params = lc.ModelParams(a=0.0, b=0.0, c=2.0, innovation=EXP)
-    rng = np.random.default_rng(0)
-    sigma, x, c_val, y = lc.step(123.0, 456, 10, params, rng)
+    sigma, c_val = step(params, 10, 123.0, 456)
     assert sigma == pytest.approx(100.0, rel=1e-12)
     assert c_val == pytest.approx(2 * math.log(10))
 
 
 def test_step_all_terms_zero_at_t1():
-    rng = np.random.default_rng(0)
-    sigma, x, c_val, y = lc.step(1.0, 0, 1, PARAMS, rng)
+    sigma, c_val = step(PARAMS, 1, 1.0, 0)
     assert sigma == 1.0
     assert c_val == 0.0
-    assert x == math.floor(sigma * y)
 
 
 def test_step_arithmetic_oracle():
-    rng = np.random.default_rng(0)
-    sigma, _, _, _ = lc.step(4.0, 7, 3, PARAMS, rng)
+    sigma, _ = step(PARAMS, 3, 4.0, 7)
     expected_log = 0.1 * math.log(4) + 0.1 * math.log(8) + 2 * math.log(3)
     assert expected_log == pytest.approx(2.543798, abs=1e-6)
     assert sigma == pytest.approx(math.exp(expected_log), rel=1e-12)
     assert sigma == pytest.approx(12.7273, abs=2e-3)
-
-
-def test_step_rejects_bad_state():
-    # sigma_prev finite and positive, x_prev a finite non-negative integer, t >= 1
-    for sigma_prev, x_prev, t in [
-            (0.0, 3, 2), (-1.0, 3, 2), (math.inf, 3, 2), (math.nan, 3, 2),
-            (1.0, -2, 2), (1.0, -1, 2), (1.0, math.nan, 2), (1.0, math.inf, 2), (1.0, 2.5, 2),
-            (math.inf, -1, 2), (1.0, 3, 0), (1.0, 3, -4)]:
-        with pytest.raises(ConfigError):
-            lc.step(sigma_prev, x_prev, t, PARAMS, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +129,9 @@ def test_simulate_initial_count_law():
     # X_0 pools to the discretization of sigma0 across replicates
     params = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP, sigma0=3.0)
     x0 = np.array([lc.simulate(params, 0, s).x[0] for s in range(4000)])
-    law = lc.initial_law(params)
+    law = lc.DiscretizedLaw(params.innovation, params.sigma0)
     # mean of the law by series summation
-    _, pmf, _ = law.table()
+    pmf = law.pmf(np.arange(law.support_bound() + 1))
     mean = float(np.arange(len(pmf)) @ pmf)
     assert x0.mean() == pytest.approx(mean, abs=4 * x0.std() / math.sqrt(len(x0)))
 
