@@ -21,7 +21,8 @@ from scipy.signal import lfilter
 
 from . import rng as _rng
 from .errors import ConfigError
-from .estimation import TrendFit, nn_means, theta_hat, trend_weights, theta_bar_mc
+from .estimation import (THETA_BAR_LOOPS, TrendFit, nn_means, theta_hat, trend_weights,
+                         theta_bar_mc)
 from .process import ModelParams, simulate_replicate_block, validate
 
 
@@ -260,7 +261,7 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
 
 def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float, int]],
                         alphas: Sequence[float], mc_loops: int, B: int,
-                        master_seed: int, theta_bar_loops: int = 20_000,
+                        master_seed: int, theta_bar_loops: int = THETA_BAR_LOOPS,
                         threads: int = 1) -> list[CoverageCell]:
     """Fraction of Monte Carlo loops whose interval covers the target.
 

@@ -1,10 +1,12 @@
 """Command-line harness: configuration, ingestion, experiments, plot data.
 
-Every command reads a single JSON config, derives all randomness from one
-master seed, and stamps its primary output with the seed and a hash of the
-canonical config, so a run can be reproduced byte-for-byte from its own
-header.  ``--threads`` (at least 1) only changes how replicate chunks are
-scheduled; results are identical for any value.
+Each command declares its config keys in ``_COMMANDS`` and returns one
+result: a JSON object, or the columns of a CSV.  ``main`` reads and checks
+the single JSON config, derives all randomness from one master seed, and
+writes the result stamped with the seed and a hash of the canonical config,
+so a run can be reproduced byte-for-byte from its own header.
+``--threads`` (at least 1) only changes how replicate chunks are scheduled;
+results are identical for any value.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -27,8 +29,8 @@ from . import __version__, rng as _rng
 from .bootstrap import BootstrapConfig, confidence_interval, coverage_experiment
 from .coupling import estimate_beta
 from .errors import ConfigError, DataError, NumericError
-from .estimation import (asymptotic_sigma2, ensemble_theta_hats, t_statistic, theta_bar_mc,
-                         theta_hat)
+from .estimation import (THETA_BAR_LOOPS, asymptotic_sigma2, ensemble_theta_hats, t_statistic,
+                         theta_bar_mc, theta_hat)
 from .innovations import compute_constants, innovation_from_json, tv_bound_check
 from .process import ExogenousSpec, ModelParams, simulate
 
@@ -131,18 +133,6 @@ def _seed_of(args, cfg: dict) -> int:
     return seed
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip formatting; integral floats print as integers."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isfinite(f) and f == int(f) and abs(f) < 2**53:
-        return str(int(f))
-    return repr(f)
-
-
 def _header_lines(command: str, seed: int, cfg: dict, extra: Optional[dict] = None) -> list[str]:
     canon, digest = _config_digest(cfg)
     lines = [
@@ -172,9 +162,11 @@ def _output(path: Optional[str]):
 
 
 def _fmt_column(col) -> list[str]:
-    """``_fmt`` of every entry of ``col``, in one pass for a numeric array."""
-    if not isinstance(col, np.ndarray) or col.dtype.kind not in "iuf":
-        return [_fmt(v) for v in col]
+    """Each entry of a homogeneous column as text: strings as they are, integers
+    in full, and floats by ``repr`` unless integral and below 2**53 in size."""
+    col = np.asarray(col)
+    if col.dtype.kind == "U":
+        return col.tolist()
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
     f = col.astype(float, copy=False)
@@ -265,27 +257,20 @@ def _read_counts(path: str) -> np.ndarray:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"model", "n"}, set(), "simulate config")
+def cmd_simulate(cfg: dict, seed: int, threads: int):
     params = _model_from_config(cfg["model"])
     n = _cast(_int, cfg["n"], "'n'")
-    seed = _seed_of(args, cfg)
     traj = simulate(params, n, seed)
     fit_info = ""
     if n >= 2:
         fit_info = f", theta_hat={theta_hat(traj.counts()).theta_hat:.6g}"
-    _write_csv(args.out, _header_lines("simulate", seed, cfg), ["t", "sigma", "x", "c_exo"],
-               [np.arange(n + 1), traj.sigma, traj.x, traj.c_exo])
     print(f"simulate: n={n}, final sigma={traj.sigma[-1]:.6g}, "
           f"max x={int(traj.x.max())}{fit_info}", file=sys.stderr)
-    return 0
+    return (["t", "sigma", "x", "c_exo"], [np.arange(n + 1), traj.sigma, traj.x, traj.c_exo],
+            None)
 
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"data"}, {"model", "theta_bar", "curve_out"}, "fit config")
-    seed = _seed_of(args, cfg)
+def cmd_fit(cfg: dict, seed: int, threads: int):
     x = _read_counts(cfg["data"])
     fit = theta_hat(x)
     result = {"theta_hat": fit.theta_hat, "n": fit.n,
@@ -295,14 +280,16 @@ def cmd_fit(args) -> int:
         result["sigma2_asymptotic"] = asymptotic_sigma2(params)
     if "theta_bar" in cfg:
         result["t_statistic"] = t_statistic(fit, _cast(float, cfg["theta_bar"], "'theta_bar'"))
+        if not np.isfinite(result["t_statistic"]):  # JSON has no NaN or infinity
+            raise ConfigError(f"'theta_bar' {cfg['theta_bar']!r} gives a t statistic that "
+                              "is not finite")
     if "curve_out" in cfg:
         t = np.arange(1, fit.n + 1, dtype=float)
         curve = t ** fit.theta_hat
         _write_csv(_cast(os.fspath, cfg["curve_out"], "'curve_out'"), _header_lines("fit", seed, cfg),
                    ["t", "x", "trend"], [t, x, curve])
         result["curve_out"] = cfg["curve_out"]
-    _write_json(args.out, "fit", seed, cfg, result)
-    return 0
+    return result
 
 
 def _bootstrap_from_config(obj) -> BootstrapConfig:
@@ -315,31 +302,15 @@ def _bootstrap_from_config(obj) -> BootstrapConfig:
                            alpha=_cast(float, obj["alpha"], "bootstrap 'alpha'"))
 
 
-def cmd_ci(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"data", "bootstrap"}, set(), "ci config")
-    seed = _seed_of(args, cfg)
+def cmd_ci(cfg: dict, seed: int, threads: int):
     x = _read_counts(cfg["data"])
     bcfg = _bootstrap_from_config(cfg["bootstrap"])
     ci = confidence_interval(x, bcfg, seed)
-    result = {
-        "theta_hat": ci.theta_hat,
-        "u_star": ci.u_star,
-        "half_width": ci.half_width,
-        "lower": ci.lower,
-        "upper": ci.upper,
-        "level": ci.level,
-        "n": len(x),
-    }
-    _write_json(args.out, "ci", seed, cfg, result)
-    return 0
+    return {**dataclasses.asdict(ci), "n": len(x)}
 
 
-def cmd_mc_boxplot(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"model", "n", "replicates"}, {"theta_bar_loops"}, "mc-boxplot config")
+def cmd_mc_boxplot(cfg: dict, seed: int, threads: int):
     params = _model_from_config(cfg["model"])
-    seed = _seed_of(args, cfg)
     n_list = _cast(lambda v: [_int(n) for n in (_array(v) if isinstance(v, list) else [v])],
                    cfg["n"], "'n'")
     if len(set(n_list)) < len(n_list):
@@ -347,42 +318,33 @@ def cmd_mc_boxplot(args) -> int:
     replicates = _cast(_int, cfg["replicates"], "'replicates'")
     if replicates < 100:
         raise ConfigError(f"mc-boxplot needs at least 100 replicates, got {replicates}")
-    tb_loops = _cast(_int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'")
+    tb_loops = _cast(_int, cfg.get("theta_bar_loops", THETA_BAR_LOOPS), "'theta_bar_loops'")
     thetas_by_n = []
-    summary = {}
+    extra = {}
     for ni, n in enumerate(n_list):
         tb = theta_bar_mc(params, n, tb_loops, _rng.derive_seed(seed, _rng.NS_TARGET, ni),
-                          threads=args.threads)
+                          threads=threads)
         thetas = ensemble_theta_hats(params, n, replicates, _rng.derive_seed(seed, _rng.NS_SIM, ni),
-                                     threads=args.threads)
+                                     threads=threads)
         q1, med, q3 = (float(q) for q in np.percentile(thetas, [25, 50, 75]))
         lo_wh = float(thetas[thetas >= q1 - 1.5 * (q3 - q1)].min())
         hi_wh = float(thetas[thetas <= q3 + 1.5 * (q3 - q1)].max())
-        summary[n] = (tb.theta_bar, q1, med, q3, lo_wh, hi_wh)
-        thetas_by_n.append(thetas)
-    extra = {}
-    for n, (tb_val, q1, med, q3, lo_wh, hi_wh) in summary.items():
         extra[f"summary_n{n}"] = (
-            f"theta_bar={tb_val!r} q1={q1!r} median={med!r} q3={q3!r} "
+            f"theta_bar={tb.theta_bar!r} q1={q1!r} median={med!r} q3={q3!r} "
             f"whisker_low={lo_wh!r} whisker_high={hi_wh!r}"
         )
-    _write_csv(args.out, _header_lines("mc-boxplot", seed, cfg, extra),
-               ["n", "replicate", "theta_hat"],
-               [np.repeat(np.array(n_list, dtype=np.int64), replicates),
-                np.tile(np.arange(replicates), len(n_list)),
-                np.concatenate([np.empty(0), *thetas_by_n])])
-    for n, (tb_val, q1, med, q3, *_ ) in summary.items():
-        print(f"mc-boxplot n={n}: theta_bar={tb_val:.5f} median={med:.5f} IQR={q3 - q1:.5f}",
-              file=sys.stderr)
-    return 0
+        print(f"mc-boxplot n={n}: theta_bar={tb.theta_bar:.5f} median={med:.5f} "
+              f"IQR={q3 - q1:.5f}", file=sys.stderr)
+        thetas_by_n.append(thetas)
+    return (["n", "replicate", "theta_hat"],
+            [np.repeat(np.array(n_list, dtype=np.int64), replicates),
+             np.tile(np.arange(replicates), len(n_list)),
+             np.concatenate([np.empty(0), *thetas_by_n])],
+            extra)
 
 
-def cmd_mixing(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"model", "k", "replicates"},
-                  {"n_max", "n_grid", "R"}, "mixing config")
+def cmd_mixing(cfg: dict, seed: int, threads: int):
     params = _model_from_config(cfg["model"])
-    seed = _seed_of(args, cfg)
     if "n_grid" in cfg:
         n_grid = _cast(lambda v: [_int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
     elif "n_max" in cfg:
@@ -391,29 +353,22 @@ def cmd_mixing(args) -> int:
         raise ConfigError("mixing config needs 'n_grid' or 'n_max'")
     truncation = _cast(_int, cfg.get("R", 50), "'R'")
     res = estimate_beta(params, _cast(_int, cfg["k"], "'k'"), n_grid, truncation,
-                        _cast(_int, cfg["replicates"], "'replicates'"), seed,
-                        threads=args.threads)
+                        _cast(_int, cfg["replicates"], "'replicates'"), seed, threads=threads)
     slope = res.log_slope()
+    print(f"mixing: k={res.k} R={res.truncation} replicates={res.replicates} "
+          f"log_slope={slope}", file=sys.stderr)
     extra = {
         "replicates": res.replicates,
         "k": res.k,
         "R": res.truncation,
         "log_slope": "nan" if slope is None else repr(slope),
     }
-    _write_csv(args.out, _header_lines("mixing", seed, cfg, extra),
-               ["n", "beta_hat", "stderr", "theorem_bound", "truncation_bound"],
-               [res.horizons, res.beta_hat, res.stderr, res.theorem_bound, res.truncation_bound])
-    print(f"mixing: k={res.k} R={res.truncation} replicates={res.replicates} "
-          f"log_slope={slope}", file=sys.stderr)
-    return 0
+    return (["n", "beta_hat", "stderr", "theorem_bound", "truncation_bound"],
+            [res.horizons, res.beta_hat, res.stderr, res.theorem_bound, res.truncation_bound],
+            extra)
 
 
-def cmd_coverage(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"a", "b", "c", "innovations", "n", "cells", "alphas",
-                        "mc_loops", "B"},
-                  {"sigma0", "theta_bar_loops"}, "coverage config")
-    seed = _seed_of(args, cfg)
+def cmd_coverage(cfg: dict, seed: int, threads: int):
     cells = _cast(lambda v: [(float(l), _int(w)) for l, w in map(_array, _array(v))],
                   cfg["cells"], "'cells'")
     alphas = _cast(lambda v: [float(a) for a in _array(v)], cfg["alphas"], "'alphas'")
@@ -425,20 +380,16 @@ def cmd_coverage(args) -> int:
             params, _cast(_int, cfg["n"], "'n'"), cells, alphas,
             mc_loops=_cast(_int, cfg["mc_loops"], "'mc_loops'"), B=_cast(_int, cfg["B"], "'B'"),
             master_seed=_rng.derive_seed(seed, _rng.NS_SIM, fi),
-            theta_bar_loops=_cast(_int, cfg.get("theta_bar_loops", 20_000), "'theta_bar_loops'"),
-            threads=args.threads,
+            theta_bar_loops=_cast(_int, cfg.get("theta_bar_loops", THETA_BAR_LOOPS),
+                                  "'theta_bar_loops'"),
+            threads=threads,
         )
         rows.extend((c.l_n, c.N_n, params.innovation.family, c.alpha, c.coverage,
                      c.mc_loops, c.B) for c in res)
-    _write_csv(args.out, _header_lines("coverage", seed, cfg),
-               ["l_n", "N_n", "family", "alpha", "coverage", "mc_loops", "B"], list(zip(*rows)))
-    return 0
+    return ["l_n", "N_n", "family", "alpha", "coverage", "mc_loops", "B"], list(zip(*rows)), None
 
 
-def cmd_tv_check(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"sigmas"}, {"innovation", "innovations"}, "tv-check config")
-    seed = _seed_of(args, cfg)
+def cmd_tv_check(cfg: dict, seed: int, threads: int):
     if "innovations" in cfg:
         innov_objs = _cast(_array, cfg["innovations"], "'innovations'")
     elif "innovation" in cfg:
@@ -454,44 +405,45 @@ def cmd_tv_check(args) -> int:
                     for r in report.rows)
         print(f"tv-check {spec.family}: pairs={len(report.rows)} "
               f"min_slack={report.min_slack:.3g}", file=sys.stderr)
-    _write_csv(args.out, _header_lines("tv-check", seed, cfg),
-               ["family", "sigma", "sigma_prime", "tv", "bound", "slack"], list(zip(*rows)))
-    return 0
+    return ["family", "sigma", "sigma_prime", "tv", "bound", "slack"], list(zip(*rows)), None
 
 
-def cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
-    _require_keys(cfg, {"innovation"}, set(), "constants config")
-    seed = _seed_of(args, cfg)
+def cmd_constants(cfg: dict, seed: int, threads: int):
     spec = innovation_from_json(cfg["innovation"])
-    c = compute_constants(spec)
-    result = {
-        "family": spec.family,
-        "monotone_density": bool(spec.monotone_density),
-        "gamma": c.gamma,
-        "big_gamma": c.big_gamma,
-        "p_sup": c.p_sup,
-        "e_ln_plus": c.e_ln_plus,
-        "var_ln_y": c.var_ln_y,
-    }
-    _write_json(args.out, "constants", seed, cfg, result)
-    return 0
+    return {"family": spec.family, "monotone_density": bool(spec.monotone_density),
+            **dataclasses.asdict(compute_constants(spec))}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+# name -> (command, required config keys, optional config keys)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "ci": cmd_ci,
-    "mc-boxplot": cmd_mc_boxplot,
-    "mixing": cmd_mixing,
-    "coverage": cmd_coverage,
-    "tv-check": cmd_tv_check,
-    "constants": cmd_constants,
+    "simulate": (cmd_simulate, {"model", "n"}, set()),
+    "fit": (cmd_fit, {"data"}, {"model", "theta_bar", "curve_out"}),
+    "ci": (cmd_ci, {"data", "bootstrap"}, set()),
+    "mc-boxplot": (cmd_mc_boxplot, {"model", "n", "replicates"}, {"theta_bar_loops"}),
+    "mixing": (cmd_mixing, {"model", "k", "replicates"}, {"n_max", "n_grid", "R"}),
+    "coverage": (cmd_coverage, {"a", "b", "c", "innovations", "n", "cells", "alphas",
+                                "mc_loops", "B"}, {"sigma0", "theta_bar_loops"}),
+    "tv-check": (cmd_tv_check, {"sigmas"}, {"innovation", "innovations"}),
+    "constants": (cmd_constants, {"innovation"}, set()),
 }
+
+
+def _run(args) -> None:
+    """Load and check the config, derive the seed, run the command, write its result."""
+    fn, required, optional = _COMMANDS[args.command]
+    cfg = _load_config(args.config)
+    _require_keys(cfg, required, optional, f"{args.command} config")
+    seed = _seed_of(args, cfg)
+    out = fn(cfg, seed, args.threads)
+    if isinstance(out, dict):
+        _write_json(args.out, args.command, seed, cfg, out)
+    else:
+        names, columns, extra = out
+        _write_csv(args.out, _header_lines(args.command, seed, cfg, extra), names, columns)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,15 +453,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"logcount {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("--config", help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides the config's 'seed')")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes; affects speed only, never results")
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -522,7 +473,7 @@ def main(argv=None) -> int:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -536,6 +487,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ from .errors import ConfigError
 from .process import ModelParams, simulate_replicate_block, validate
 from .innovations import DistributionConstants
 
+# Default number of replicate fits that estimate the projection target.
+THETA_BAR_LOOPS = 20_000
+
 
 @dataclass(frozen=True)
 class TrendFit:
@@ -148,8 +151,7 @@ def _curve_chunk(params: ModelParams, n: int, master_seed: int, lo: int, hi: int
     return s1, s2, s12
 
 
-def mean_log_curve(params: ModelParams, n: int, replicates: int, master_seed: int,
-                   threads: int = 1):
+def mean_log_curve(params: ModelParams, n: int, replicates: int, master_seed: int):
     """Per-time Monte Carlo means of ln(X_t+1) with paired-difference errors.
 
     Returns (means, se_means, se_diffs) where ``se_diffs[t]`` is the standard
@@ -160,7 +162,7 @@ def mean_log_curve(params: ModelParams, n: int, replicates: int, master_seed: in
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     worker = partial(_curve_chunk, params, n, master_seed)
-    parts = _rng.run_chunks(worker, replicates, threads)
+    parts = _rng.run_chunks(worker, replicates)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
     s12 = sum(p[2] for p in parts)

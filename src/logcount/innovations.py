@@ -437,10 +437,6 @@ class DiscretizedLaw:
         """Smallest k with CDF(k) >= u."""
         return _discrete_quantile(self.base, self.sigma, u)
 
-    def support_bound(self, tail: float = TAIL) -> int:
-        """k such that the mass above k is below ``tail``."""
-        return int(math.ceil(self.sigma * float(self.base.quantile(1.0 - tail))))
-
 
 def _discrete_quantile(base: InnovationSpec, sigma, u):
     """Smallest k with ``base.cdf((k+1)/sigma) >= u``; ``sigma`` may be an array."""

@@ -4,20 +4,29 @@ No program path calls them; they live here, beside the tests, and not in
 ``src/logcount``:
 
 * ``dense_coupled``, the ordered maximal coupling from explicit pmf tables,
+* ``support_bound``, the count above which a discretized law holds less than
+  a given tail mass, which sizes those tables,
 * ``nn_mean``, the moving-window mean of ``ln(X_s + 1)`` at one time index,
   the scalar reference of ``estimation.nn_means``,
 * ``density_slope``, the derivative ``p'(y)`` of the chi-square and
   half-Cauchy densities, which ``compute_constants`` integrates in closed
   form, and
 * ``loglog_sum_check``, the sum ``sum_t ln(t+h) ln(t)`` against its leading
-  term ``n ln(n)^2``, which the trend weights rest on.
+  term ``n ln(n)^2``, which the trend weights rest on, and
+* ``fmt``, the text of one CSV cell, the scalar reference of
+  ``cli._fmt_column``.
 """
 import math
 
 import numpy as np
 
 from logcount.errors import ConfigError, NumericError
-from logcount.innovations import DENSE_MAX, ChiSquare, DiscretizedLaw, HalfCauchy
+from logcount.innovations import DENSE_MAX, TAIL, ChiSquare, DiscretizedLaw, HalfCauchy
+
+
+def support_bound(law: DiscretizedLaw, tail: float = TAIL) -> int:
+    """k such that the mass of ``law`` above k is below ``tail``."""
+    return int(math.ceil(law.sigma * float(law.base.quantile(1.0 - tail))))
 
 
 def dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
@@ -30,14 +39,14 @@ def dense_coupled(law: DiscretizedLaw, law_prime: DiscretizedLaw, u: np.ndarray,
     the draw of the stochastically larger law on top.
 
     Both laws are tabulated on one common grid ``0..kmax``, with ``kmax`` the
-    larger of the two ``support_bound(tail)``, and each table is closed by a
-    tail bin holding ``sf(kmax)``, so the overlap and residual masses sum to
-    one for both laws.  The tail bin is exact under the single-crossing
+    larger of their two ``support_bound``, and each table is closed by a tail
+    bin holding ``sf(kmax)``, so the overlap and residual masses sum to one
+    for both laws.  The tail bin is exact under the single-crossing
     assumption shared with ``_scaled_coupled``: above the cut the pmf
     difference keeps its sign, so ``min(sf, sf')`` is the overlap mass there.
     A level falling in the tail bin returns index ``kmax + 1``.
     """
-    kmax = max(law.support_bound(tail), law_prime.support_bound(tail))
+    kmax = max(support_bound(law, tail), support_bound(law_prime, tail))
     if kmax > DENSE_MAX:
         raise NumericError(f"pmf table of {kmax + 2} entries exceeds the dense limit")
     ks = np.arange(kmax + 1, dtype=float)
@@ -109,3 +118,15 @@ def loglog_sum_check(n: int, h: int) -> tuple[float, float, float]:
     exact = float(np.log(t + h) @ np.log(t))
     leading = n * math.log(n) ** 2
     return exact, leading, exact - leading
+
+
+def fmt(v) -> str:
+    """Shortest round-trip text of one value; integral floats print as integers."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if math.isfinite(f) and f == int(f) and abs(f) < 2**53:
+        return str(int(f))
+    return repr(f)

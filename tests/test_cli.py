@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from logcount import cli
 from logcount.errors import DataError
 from logcount.process import simulate
+from oracles import fmt
 
 MODEL = {"a": 0.1, "b": 0.1, "c": 2, "innovation": {"family": "exponential"}}
 BOOTSTRAP = {"l_n": 2, "N_n": 5, "B": 50, "alpha": 0.1}
@@ -76,16 +77,17 @@ def test_column_formatter_follows_fmt():
     floats = [0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), float("inf"),
               float("-inf"), float("nan"), 5e-324, 1e16, 1e15 + 0.5, 0.1, -2.5, 1 / 3, 7.0]
     ints = [0, -5, 2**63 - 1, -(2**63)]
-    mixed = [np.int64(7), 2**64 + 1, "exponential", 2.5, np.float64(3.0), True]
+    # the tuple columns are those coverage and tv-check build from their rows
     for col in (np.array(floats), np.array(floats, dtype=np.float32), np.array(ints),
-                np.array([2**64 - 1], dtype=np.uint64), mixed, tuple(floats)):
-        assert cli._fmt_column(col) == [cli._fmt(v) for v in col]
+                np.array([2**64 - 1], dtype=np.uint64), tuple(floats), tuple(ints),
+                ("exponential", "half_cauchy", "chi_square"), (0.5, np.float64(3.0), 1.25)):
+        assert cli._fmt_column(col) == [fmt(v) for v in col]
 
 
 def _row_by_row(header_lines, names, columns):
-    """The CSV as one string, each cell formatted by ``_fmt``."""
+    """The CSV as one string, each cell formatted by ``fmt``."""
     lines = [*header_lines, ",".join(names)]
-    lines.extend(",".join(cli._fmt(v) for v in row) for row in zip(*columns))
+    lines.extend(",".join(fmt(v) for v in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -206,11 +208,57 @@ def files(tmp_path_factory):
     # sizes no array can hold are refused before anything is allocated
     ("simulate", {"model": MODEL, "n": 10**19}, 2),
     ("mixing", {"model": MODEL, "k": 5, "replicates": 10, "n_max": 3, "R": 10**18}, 2),
+    # a t statistic that is not finite is not valid JSON
+    ("fit", {"data": "{dir}/counts.csv", "theta_bar": "nan"}, 2),
+    ("fit", {"data": "{dir}/counts.csv", "theta_bar": "inf"}, 2),
+    ("fit", {"data": "{dir}/counts.csv", "theta_bar": float("nan")}, 2),
+    ("fit", {"data": "{dir}/counts.csv", "theta_bar": 1e308}, 2),  # the statistic overflows
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
     (files / "config.json").write_text(text)
     assert cli.main([*command.split(), "--config", str(files / "config.json")]) == code
+
+
+CONTRACT_CONFIGS = {
+    "simulate": {"model": MODEL, "n": 5},
+    "fit": {"data": "{dir}/counts.csv"},
+    "ci": {"data": "{dir}/counts.csv", "bootstrap": BOOTSTRAP},
+    "mc-boxplot": {"model": MODEL, "n": 30, "replicates": 100, "theta_bar_loops": 16},
+    "mixing": {"model": MODEL, "k": 3, "replicates": 20, "n_max": 3},
+    "coverage": {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                 "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50,
+                 "theta_bar_loops": 16},
+    "tv-check": {"innovation": {"family": "exponential"}, "sigmas": [1, 2]},
+    "constants": {"innovation": {"family": "exponential"}},
+}
+
+
+def stamp(text):
+    """Schema, command, seed and config hash of a JSON or CSV output."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return {k: payload[k] for k in ("schema", "command", "master_seed", "config_sha256")}
+    header = dict(line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+    return {"schema": header["logcount-output"], "command": header["command"],
+            "master_seed": int(header["master_seed"]), "config_sha256": header["config_sha256"]}
+
+
+# a 30-count series at these tunings draws the bootstrap's regime warnings
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("command", sorted(CONTRACT_CONFIGS))
+def test_every_command_stamps_its_output(files, tmp_path, command):
+    text = json.dumps({**CONTRACT_CONFIGS[command], "seed": 3})
+    path = tmp_path / "config.json"
+    path.write_text(text.replace("{dir}", json.dumps(str(files))[1:-1]))
+    cfg = json.loads(path.read_text())
+    for extra, seed in (([], 3), (["--seed", "5"], 5)):
+        out = tmp_path / f"out{seed}"
+        assert cli.main([command, "--config", str(path), "--out", str(out), *extra]) == 0
+        assert stamp(out.read_text()) == {"schema": cli.SCHEMA, "command": command,
+                                          "master_seed": seed,
+                                          "config_sha256": cli._config_digest(cfg)[1]}
+    assert cli.SCHEMA == "logcount/v1"
 
 
 def test_config_path_that_is_a_directory_is_a_config_error(files):

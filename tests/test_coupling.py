@@ -11,7 +11,7 @@ from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_inde
                                _first_true, _scaled_coupled)
 from logcount.errors import ConfigError
 from logcount.rng import chunk_bounds
-from oracles import dense_coupled
+from oracles import dense_coupled, support_bound
 
 EXP = lc.Exponential(1.0)
 HN = lc.HalfNormal(math.sqrt(math.pi / 2.0))  # E[Y] = scale * sqrt(2/pi) = 1
@@ -24,7 +24,7 @@ IID_PARAMS = lc.ModelParams(a=0.3, b=0.3, c=0.0, innovation=EXP,
 
 def chi2_gof_pvalue(law, draws):
     """Goodness of fit of integer draws against a discretized law."""
-    pmf = law.pmf(np.arange(law.support_bound() + 1))
+    pmf = law.pmf(np.arange(support_bound(law) + 1))
     N = len(draws)
     expected = pmf * N
     # pool the tail so every bin keeps expected count >= 5

@@ -90,14 +90,17 @@ def test_weights_normalization_property(n):
 
 def test_nn_mean_constant_series():
     x = np.full(40, 4)
+    means = lc.nn_means(np.log1p(x), 5)
     for t in (1, 7, 40):
         assert nn_mean(x, t, 5) == pytest.approx(math.log(5.0), rel=1e-14)
+        assert means[t - 1] == pytest.approx(math.log(5.0), rel=1e-14)
 
 
 def test_nn_mean_boundary_count():
     x = np.arange(20)
-    got = nn_mean(x, 1, 5)
-    assert got == pytest.approx(float(np.log1p(x[:6]).mean()))
+    expected = float(np.log1p(x[:6]).mean())
+    assert nn_mean(x, 1, 5) == pytest.approx(expected)
+    assert lc.nn_means(np.log1p(x), 5)[0] == pytest.approx(expected)
 
 
 def test_nn_mean_linear_log_series_symmetric():
@@ -190,6 +193,8 @@ def test_loglog_sum_direct_oracle():
     assert exact == pytest.approx(oracle, rel=1e-12)
     assert exact == pytest.approx(27.650244, abs=1e-6)
     assert remainder == exact - leading
+    # the trend fit's denominator is the same sum at h = 0
+    assert lc.theta_hat(np.zeros(10)).weights_denominator == pytest.approx(exact, rel=1e-12)
 
 
 def test_loglog_sum_reflection_symmetry():

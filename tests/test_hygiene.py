@@ -1,9 +1,9 @@
 """Static checks on the package source with the standard library's ``ast``.
 
 They stand in for a linter: an import nothing uses, a private helper nothing
-calls, a method or property nothing reads and a public function or class
-that only the tests call are all dead code, and an import inside a function
-hides a module's dependencies from its header.
+calls, a method or property nothing reads and a public function, class or
+method that only the tests call are all dead code, and an import inside a
+function hides a module's dependencies from its header.
 """
 import ast
 from pathlib import Path
@@ -76,6 +76,13 @@ def test_no_unreferenced_methods():
     assert findings == [], f"methods and properties nothing references: {findings}"
 
 
+def names_used_by_the_program():
+    """Names the package (its re-exports aside) or the benchmark references."""
+    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    return set().union(*(referenced_names(parse(path)) for path in callers))
+
+
 # Public definitions that only the tests call, each kept for a reason.
 TEST_ONLY_PUBLIC = {
     "theoretical_autocovariance": "paper math: the stationary autocovariance of ln(X_t + 1)",
@@ -88,10 +95,7 @@ TEST_ONLY_PUBLIC = {
 
 
 def test_public_definitions_have_a_program_caller():
-    # a caller is the package itself (its re-exports aside) or the benchmark
-    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    callers += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(referenced_names(parse(path)) for path in callers))
+    used = names_used_by_the_program()
     defined, findings = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in parse(path).body:
@@ -101,6 +105,28 @@ def test_public_definitions_have_a_program_caller():
                     findings.append(f"{path.stem}.{node.name}")
     assert findings == [], f"public definitions only the tests call: {findings}"
     assert set(TEST_ONLY_PUBLIC) <= defined
+
+
+# Methods that only the tests call, each kept for a reason.
+TEST_ONLY_METHODS = {
+    "DiscretizedLaw.pmf": "the count law's pmf, which every dense oracle in the tests builds on",
+}
+
+
+def test_methods_have_a_program_caller():
+    used = names_used_by_the_program()
+    defined, findings = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not fn.name.startswith("__")):
+                        defined.add(f"{cls.name}.{fn.name}")
+                        if fn.name not in used and f"{cls.name}.{fn.name}" not in TEST_ONLY_METHODS:
+                            findings.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert findings == [], f"methods only the tests call: {findings}"
+    assert set(TEST_ONLY_METHODS) <= defined
 
 
 def test_no_function_local_imports():
