@@ -89,7 +89,9 @@ def _check_l_n(l_n: float) -> None:
 
 
 # Elements in one block of multiplier rows (8 MB of float64), so the draws of
-# ``t_star`` and ``coverage_experiment`` take O(n) memory whatever B is.
+# ``t_star`` and ``coverage_experiment`` take O(n) memory whatever B is.  A
+# block has at least 16 rows, so past n = 2**16 it holds 16 n elements
+# (12.8 MB at n = 1e5).
 BLOCK_ELEMENTS = 2**20
 
 
@@ -105,23 +107,27 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     _check_l_n(l_n)
-    w = _ar1_filter(rng.standard_normal((1 if size is None else size, n)), l_n)
+    eps = rng.standard_normal((1 if size is None else size, n))
+    w = _ar1_filter(eps, l_n, eps)
     return w[0] if size is None else w
 
 
-def _ar1_filter(eps: np.ndarray, l_n: float, v: Optional[np.ndarray] = None) -> np.ndarray:
+def _ar1_filter(eps: np.ndarray, l_n: float, v: np.ndarray) -> np.ndarray:
     """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n).
 
-    ``v``, if given, receives the scaled innovations instead of a new array.
+    ``v`` receives the filter input: column 0 of ``eps`` as the unit-variance
+    start and the scaled innovations after it.  It may be ``eps`` itself,
+    which then no longer holds the normals.
     """
     phi = math.exp(-1.0 / l_n)
-    v = np.multiply(math.sqrt(-math.expm1(-2.0 / l_n)), eps, out=v)
-    v[:, 0] = eps[:, 0]  # unit-variance start
+    start = eps[:, 0].copy()  # scaling every column is faster than a strided eps[:, 1:]
+    np.multiply(math.sqrt(-math.expm1(-2.0 / l_n)), eps, out=v)
+    v[:, 0] = start
     return lfilter([1.0], [1.0, -phi], v, axis=1)
 
 
-def _draws(n: int, B: int):
-    """Kernel ``draw(rng, l_ns, ds)``: ``w @ d`` for B multiplier paths w of length n.
+def _draws(n: int, B: int, l_ns: Sequence[float]):
+    """Kernel ``draw(rng, ds)``: ``w @ d`` for B multiplier paths w of length n.
 
     The result has shape (len(l_ns), len(ds), B); every l_n filters the same
     normals.  Rows are drawn in consecutive blocks of about ``BLOCK_ELEMENTS``
@@ -130,23 +136,26 @@ def _draws(n: int, B: int):
     row by row, and BLAS gemv gives a row the same bits in any block whose
     per-thread share of rows is a multiple of 4 (16-row multiples serve up to
     4 threads; a short last block matches wherever the one (B, n) product is
-    itself independent of the thread count).  Two row buffers serve every
-    call, so the loops of a coverage chunk reuse their pages; fresh arrays
-    per loop went back to the OS on free and cost about 1900 page faults per
-    loop at n = B = 500.
+    itself independent of the thread count).  The last l_n filters the
+    normals block in place, so a block of normals and ``lfilter``'s output
+    are all that ``t_star`` holds; only the earlier l_n of a coverage loop
+    fill a second buffer with their scaled copy.  The buffers are made once
+    per kernel, so the loops of a coverage chunk reuse their pages; fresh
+    arrays per loop went back to the OS on free and cost about 1900 page
+    faults per loop at n = B = 500.
     """
     rows = max(16, BLOCK_ELEMENTS // n // 16 * 16)
     eps_buf = np.empty((min(rows, B), n))
-    v_buf = np.empty_like(eps_buf)
+    v_buf = np.empty_like(eps_buf) if len(l_ns) > 1 else None
+    last = len(l_ns) - 1
 
-    def draw(rng: np.random.Generator, l_ns: Sequence[float],
-             ds: Sequence[np.ndarray]) -> np.ndarray:
+    def draw(rng: np.random.Generator, ds: Sequence[np.ndarray]) -> np.ndarray:
         out = np.empty((len(l_ns), len(ds), B))
         for r0 in range(0, B, rows):
             eps = eps_buf[:min(rows, B - r0)]
             rng.standard_normal(out=eps)
             for li, l_n in enumerate(l_ns):
-                w = _ar1_filter(eps, l_n, v_buf[:len(eps)])
+                w = _ar1_filter(eps, l_n, eps if li == last else v_buf[:len(eps)])
                 for di, d in enumerate(ds):
                     out[li, di, r0:r0 + len(w)] = w @ d
                 del w  # free the paths before the next lfilter allocates its own
@@ -165,7 +174,7 @@ def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
            size: int) -> np.ndarray:
     """``size`` bootstrap statistics: weighted, window-centered log counts
     times fresh multiplier paths."""
-    return _draws(fit.n, size)(rng, (cfg.l_n,), (_summands(fit, cfg.N_n),))[0, 0]
+    return _draws(fit.n, size, (cfg.l_n,))(rng, (_summands(fit, cfg.N_n),))[0, 0]
 
 
 def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
@@ -244,12 +253,12 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
     l_ns = list(dict.fromkeys(l_n for l_n, _ in cells))
     nns = list(dict.fromkeys(N_n for _, N_n in cells))
-    draw = _draws(n, B)
+    draw = _draws(n, B, l_ns)
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
     for i in range(lo, hi):
         fit = theta_hat(xs[i - lo, 1:])
         rng = _rng.stream(master_seed, _rng.NS_BOOT, i)
-        by_cell = draw(rng, l_ns, [_summands(fit, N_n) for N_n in nns])
+        by_cell = draw(rng, [_summands(fit, N_n) for N_n in nns])
         for ci, (l_n, N_n) in enumerate(cells):
             draws = by_cell[l_ns.index(l_n), nns.index(N_n)]
             for ai, alpha in enumerate(alphas):
@@ -281,7 +290,10 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     cells_t = tuple((float(l), int(w)) for l, w in cells)
     alphas_t = tuple(float(a) for a in alphas)
     worker = partial(_coverage_chunk, params, n, cells_t, alphas_t, B, theta_bar, master_seed)
-    parts = _rng.run_chunks(worker, mc_loops, threads)
+    # a loop's count depends only on its own streams, so any split sums the
+    # same; at least one chunk per worker
+    chunk = min(_rng.CHUNK, -(-mc_loops // max(threads or 1, 1)))
+    parts = _rng.run_chunks(worker, mc_loops, threads, chunk=chunk)
     counts = np.zeros((len(cells_t), len(alphas_t)), dtype=np.int64)
     for p in parts:
         counts += p

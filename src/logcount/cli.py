@@ -89,6 +89,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``float(value)``, except that a bool is an error."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _array(value) -> list:
     """``value`` if it is a non-empty JSON array; a string would otherwise
     iterate by character, and an empty list would run nothing."""
@@ -106,14 +113,14 @@ def _model_from_config(obj) -> ModelParams:
     exo = obj.get("exogenous", {"kind": "trend"})
     if not isinstance(exo, dict) or "kind" not in exo:
         raise ConfigError("'exogenous' must be an object with a 'kind' key")
-    exo_spec = _cast(lambda e: ExogenousSpec(**{k: v if k in ("kind", "family") else float(v)
+    exo_spec = _cast(lambda e: ExogenousSpec(**{k: v if k in ("kind", "family") else _float(v)
                                                 for k, v in e.items()}), exo, "'exogenous'")
     return ModelParams(
-        a=_cast(float, obj["a"], "model 'a'"),
-        b=_cast(float, obj["b"], "model 'b'"),
-        c=_cast(float, obj["c"], "model 'c'"),
+        a=_cast(_float, obj["a"], "model 'a'"),
+        b=_cast(_float, obj["b"], "model 'b'"),
+        c=_cast(_float, obj["c"], "model 'c'"),
         innovation=innovation_from_json(obj["innovation"]),
-        sigma0=_cast(float, obj.get("sigma0", 1.0), "model 'sigma0'"),
+        sigma0=_cast(_float, obj.get("sigma0", 1.0), "model 'sigma0'"),
         exogenous=exo_spec,
     )
 
@@ -279,7 +286,7 @@ def cmd_fit(cfg: dict, seed: int, threads: int):
         params = _model_from_config(cfg["model"])
         result["sigma2_asymptotic"] = asymptotic_sigma2(params)
     if "theta_bar" in cfg:
-        result["t_statistic"] = t_statistic(fit, _cast(float, cfg["theta_bar"], "'theta_bar'"))
+        result["t_statistic"] = t_statistic(fit, _cast(_float, cfg["theta_bar"], "'theta_bar'"))
         if not np.isfinite(result["t_statistic"]):  # JSON has no NaN or infinity
             raise ConfigError(f"'theta_bar' {cfg['theta_bar']!r} gives a t statistic that "
                               "is not finite")
@@ -296,10 +303,10 @@ def _bootstrap_from_config(obj) -> BootstrapConfig:
     if not isinstance(obj, dict):
         raise ConfigError("'bootstrap' must be an object")
     _require_keys(obj, {"l_n", "N_n", "B", "alpha"}, set(), "bootstrap config")
-    return BootstrapConfig(l_n=_cast(float, obj["l_n"], "bootstrap 'l_n'"),
+    return BootstrapConfig(l_n=_cast(_float, obj["l_n"], "bootstrap 'l_n'"),
                            N_n=_cast(_int, obj["N_n"], "bootstrap 'N_n'"),
                            B=_cast(_int, obj["B"], "bootstrap 'B'"),
-                           alpha=_cast(float, obj["alpha"], "bootstrap 'alpha'"))
+                           alpha=_cast(_float, obj["alpha"], "bootstrap 'alpha'"))
 
 
 def cmd_ci(cfg: dict, seed: int, threads: int):
@@ -369,9 +376,9 @@ def cmd_mixing(cfg: dict, seed: int, threads: int):
 
 
 def cmd_coverage(cfg: dict, seed: int, threads: int):
-    cells = _cast(lambda v: [(float(l), _int(w)) for l, w in map(_array, _array(v))],
+    cells = _cast(lambda v: [(_float(l), _int(w)) for l, w in map(_array, _array(v))],
                   cfg["cells"], "'cells'")
-    alphas = _cast(lambda v: [float(a) for a in _array(v)], cfg["alphas"], "'alphas'")
+    alphas = _cast(lambda v: [_float(a) for a in _array(v)], cfg["alphas"], "'alphas'")
     model = {k: cfg[k] for k in ("a", "b", "c", "sigma0") if k in cfg}
     rows = []
     for fi, innov_obj in enumerate(_cast(_array, cfg["innovations"], "'innovations'")):
@@ -396,7 +403,7 @@ def cmd_tv_check(cfg: dict, seed: int, threads: int):
         innov_objs = [cfg["innovation"]]
     else:
         raise ConfigError("tv-check config needs 'innovation' or 'innovations'")
-    sigmas = _cast(lambda v: [float(s) for s in _array(v)], cfg["sigmas"], "'sigmas'")
+    sigmas = _cast(lambda v: [_float(s) for s in _array(v)], cfg["sigmas"], "'sigmas'")
     rows = []
     for obj in innov_objs:
         spec = innovation_from_json(obj)

@@ -303,6 +303,10 @@ def innovation_from_json(obj: dict) -> InnovationSpec:
     family = obj["family"]
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown innovation family {family!r}; expected one of {sorted(_FAMILIES)}")
+    flags = sorted(k for k, v in kwargs.items() if isinstance(v, bool))
+    if flags:  # float(True) is 1.0; a JSON boolean is no parameter value
+        raise ConfigError(f"bad parameters for innovation family {family!r}: "
+                          f"{flags} must be numbers, not booleans")
     try:
         return _FAMILIES[family](**kwargs)
     except TypeError as exc:

@@ -180,10 +180,11 @@ def run_chunks(worker: Callable[[int, int], object], n_items: int, threads: int 
     any reduction performed by the caller is independent of the worker count.
 
     ``chunk`` defaults to ``CHUNK``, which every caller that reduces floats
-    must keep (``theta``, ``curve`` and ``coverage``): a row's float result
-    can depend on how many rows share its call.  A caller whose worker
-    returns integer counts (``estimate_beta``) may pass a wider ``span``,
-    because an integer sum does not depend on how the rows are grouped.
+    must keep (``theta`` and ``curve``): a row's float result can depend on
+    how many rows share its call.  A caller whose worker returns integer
+    counts may pass other chunks, because an integer sum does not depend on
+    how the rows are grouped: ``estimate_beta`` a wider ``span``,
+    ``coverage_experiment`` a narrower one so that every worker gets loops.
     """
     bounds = chunk_bounds(n_items, chunk)
     if threads is None or threads <= 1 or len(bounds) <= 1:

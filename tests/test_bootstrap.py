@@ -82,6 +82,22 @@ def test_t_star_rows_match_one_call_multipliers(n, B):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("n, B", [(500, 500), (20_000, 200)])
+def test_coverage_draws_match_one_call_multipliers(n, B):
+    # coverage_experiment's kernel: two l_n filter the same normals, the last
+    # one in place, and every (l_n, d) row keeps the bits of one (B, n) product
+    fit = lc.theta_hat(lc.simulate(PARAMS, n, 13).counts())
+    x = fit.series_transformed
+    ds = [lc.trend_weights(n) * (x - lc.nn_means(x, N_n)) for N_n in (30, 65)]
+    l_ns = (10.0, 20.0)
+    got = bootstrap._draws(n, B, l_ns)(np.random.default_rng(14), ds)
+    for li, l_n in enumerate(l_ns):
+        w = lc.multipliers(n, l_n, np.random.default_rng(14), size=B)
+        for di, d in enumerate(ds):
+            want = w @ d
+            assert np.array_equal(got[li, di].view(np.int64), want.view(np.int64))
+
+
 def test_t_star_constant_series():
     fit = lc.theta_hat(np.full(150, 7))
     cfg = lc.BootstrapConfig(l_n=10, N_n=15, B=10, alpha=0.1)
@@ -173,6 +189,22 @@ def test_interval_memory_does_not_grow_with_b():
     assert max(peaks) <= 1.1 * min(peaks)
 
 
+def test_interval_holds_two_row_blocks():
+    # the normals block and lfilter's output; the last l_n filters in place,
+    # so no scaled copy of the block is held beside them
+    n = 20_000
+    x = np.random.default_rng(2).poisson(3.0 + np.log1p(np.arange(n)))
+    rows = max(16, bootstrap.BLOCK_ELEMENTS // n // 16 * 16)
+    cfg = lc.BootstrapConfig(l_n=5, N_n=10, B=400, alpha=0.1)
+    tracemalloc.start()
+    try:
+        lc.confidence_interval(x, cfg, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rows * n * 8
+
+
 def test_interval_nesting_in_alpha():
     traj = lc.simulate(PARAMS, 300, 11)
     x = traj.counts()
@@ -252,9 +284,20 @@ def test_coverage_experiment_with_nothing_to_cover_runs_nothing(monkeypatch, cel
                                master_seed=99, theta_bar_loops=2000)
 
 
-def test_coverage_thread_invariance():
+def test_coverage_thread_invariance(monkeypatch):
+    chunks = []
+    run_chunks = bootstrap._rng.run_chunks
+
+    def counting(worker, n_items, threads=1, chunk=bootstrap._rng.CHUNK):
+        parts = run_chunks(worker, n_items, threads, chunk)
+        if getattr(worker, "func", None) is bootstrap._coverage_chunk:
+            chunks.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(bootstrap._rng, "run_chunks", counting)
     kw = dict(cells=[(8.0, 20)], alphas=[0.1], mc_loops=120, B=200,
               master_seed=3, theta_bar_loops=1500)
     r1 = lc.coverage_experiment(PARAMS, 100, threads=1, **kw)
     r2 = lc.coverage_experiment(PARAMS, 100, threads=3, **kw)
     assert [c.coverage for c in r1] == [c.coverage for c in r2]
+    assert chunks == [1, 3]  # the loops ran in workers, not inline

@@ -213,6 +213,23 @@ def files(tmp_path_factory):
     ("fit", {"data": "{dir}/counts.csv", "theta_bar": "inf"}, 2),
     ("fit", {"data": "{dir}/counts.csv", "theta_bar": float("nan")}, 2),
     ("fit", {"data": "{dir}/counts.csv", "theta_bar": 1e308}, 2),  # the statistic overflows
+    # a JSON boolean is not a number, though float(True) is 1.0
+    ("ci", {"data": "{dir}/counts.csv", "bootstrap": {**BOOTSTRAP, "l_n": True}}, 2),
+    ("simulate", {"model": {**MODEL, "a": False, "c": True}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "sigma0": True}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "exogenous": {"kind": "iid", "family": "normal",
+                                                   "mean": 0, "sd": True}}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "innovation": {"family": "half_cauchy", "scale": True}},
+                  "n": 5}, 2),
+    ("fit", {"data": "{dir}/counts.csv", "theta_bar": True}, 2),
+    ("coverage", {"a": 0.1, "b": False, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [[True, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2,
+                  "innovations": [{"family": "exponential", "rate": True}],
+                  "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [True, 2]}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
