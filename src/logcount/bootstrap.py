@@ -91,8 +91,12 @@ def _check_l_n(l_n: float) -> None:
 # Elements in one block of multiplier rows (8 MB of float64), so the draws of
 # ``t_star`` and ``coverage_experiment`` take O(n) memory whatever B is.  A
 # block has at least 16 rows, so past n = 2**16 it holds 16 n elements
-# (12.8 MB at n = 1e5).
+# (12.8 MB at n = 1e5).  ``_ar1_filter`` runs ``lfilter`` on row slices of at
+# most a quarter block, whose output it copies back into the block, so a
+# block of normals and one slice (14.4 MB at n = 1e5) are all that a draw
+# holds.
 BLOCK_ELEMENTS = 2**20
+SLICE_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
 def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int] = None):
@@ -115,15 +119,21 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
 def _ar1_filter(eps: np.ndarray, l_n: float, v: np.ndarray) -> np.ndarray:
     """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n).
 
-    ``v`` receives the filter input: column 0 of ``eps`` as the unit-variance
-    start and the scaled innovations after it.  It may be ``eps`` itself,
-    which then no longer holds the normals.
+    ``v`` receives the filter input, column 0 of ``eps`` as the unit-variance
+    start and the scaled innovations after it, and is then filtered in place
+    and returned: ``lfilter`` runs on row slices of at most ``SLICE_ELEMENTS``
+    elements and each output is written back over its slice.  ``lfilter``
+    works row by row, so the slicing keeps every row's bits.  ``v`` may be
+    ``eps`` itself, which then holds the paths instead of the normals.
     """
     phi = math.exp(-1.0 / l_n)
     start = eps[:, 0].copy()  # scaling every column is faster than a strided eps[:, 1:]
     np.multiply(math.sqrt(-math.expm1(-2.0 / l_n)), eps, out=v)
     v[:, 0] = start
-    return lfilter([1.0], [1.0, -phi], v, axis=1)
+    rows = max(1, SLICE_ELEMENTS // v.shape[1])
+    for r0 in range(0, len(v), rows):
+        v[r0:r0 + rows] = lfilter([1.0], [1.0, -phi], v[r0:r0 + rows], axis=1)
+    return v
 
 
 def _draws(n: int, B: int, l_ns: Sequence[float]):
@@ -136,13 +146,14 @@ def _draws(n: int, B: int, l_ns: Sequence[float]):
     row by row, and BLAS gemv gives a row the same bits in any block whose
     per-thread share of rows is a multiple of 4 (16-row multiples serve up to
     4 threads; a short last block matches wherever the one (B, n) product is
-    itself independent of the thread count).  The last l_n filters the
-    normals block in place, so a block of normals and ``lfilter``'s output
-    are all that ``t_star`` holds; only the earlier l_n of a coverage loop
-    fill a second buffer with their scaled copy.  The buffers are made once
-    per kernel, so the loops of a coverage chunk reuse their pages; fresh
-    arrays per loop went back to the OS on free and cost about 1900 page
-    faults per loop at n = B = 500.
+    itself independent of the thread count).  The paths of an l_n replace
+    their filter input in place (``_ar1_filter``): the last l_n filters the
+    normals block itself, so ``t_star`` holds one block of normals and one
+    ``lfilter`` slice; only the earlier l_n of a coverage loop fill a second
+    block with their scaled copy.  The buffers are made once per kernel, so
+    the loops of a coverage chunk reuse their pages; fresh arrays per loop
+    went back to the OS on free and cost about 1900 page faults per loop at
+    n = B = 500.
     """
     rows = max(16, BLOCK_ELEMENTS // n // 16 * 16)
     eps_buf = np.empty((min(rows, B), n))
@@ -158,7 +169,6 @@ def _draws(n: int, B: int, l_ns: Sequence[float]):
                 w = _ar1_filter(eps, l_n, eps if li == last else v_buf[:len(eps)])
                 for di, d in enumerate(ds):
                     out[li, di, r0:r0 + len(w)] = w @ d
-                del w  # free the paths before the next lfilter allocates its own
         return out
 
     return draw

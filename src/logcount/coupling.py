@@ -252,10 +252,15 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
         sig = np.empty((2, R, k + 1 + horizon))
         xs = np.empty((2, R, k + 1 + horizon))
 
+    def draws(i, width):
+        """Chain i's independent-phase columns of ``u``: its k+1 innovations,
+        then for the iid kind its k exogenous draws (a copy, as they are apart)."""
+        y_cols = u[:, i * (k + 1): (i + 1) * (k + 1)]
+        return np.hstack((y_cols, u[:, off + i * k: off + (i + 1) * k])) if iid else y_cols
+
     def independent(i):
         """Chain i over t = 0..k; returns copies of (sigma_k, X_k), so its path is freed."""
-        s_i, x_i, _, _ = _evolve(params, k, u[:, i * (k + 1): (i + 1) * (k + 1)],
-                                 u[:, off + i * k: off + (i + 1) * k] if iid else None)
+        s_i, x_i, _, _ = _evolve(params, k, R, partial(draws, i))
         if paths:
             sig[i, :, :k + 1], xs[i, :, :k + 1] = s_i, x_i
         return s_i[:, k].copy(), x_i[:, k].copy()

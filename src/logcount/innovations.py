@@ -43,6 +43,16 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _masked(keep, val, fill):
+    """``np.where(keep, val, fill)`` for a freshly computed ``val``: filled in
+    place with ``np.copyto``, which saves a second array and the select, and
+    through ``np.where`` for 0-d input, whose ufunc results are numpy scalars."""
+    if np.ndim(val) == 0:
+        return np.where(keep, val, fill)
+    np.copyto(val, fill, where=~keep)
+    return val
+
+
 def _log_ratio_factor(s_lo, s_hi):
     """``ln(r) / (r - 1)`` for ``r = s_hi / s_lo >= 1``, and 1 at r = 1.
 
@@ -88,15 +98,15 @@ class Exponential(_Family):
 
     def density(self, y):
         y = _as_float_array(y)
-        return np.where(y >= 0, self.rate * np.exp(-self.rate * np.maximum(y, 0.0)), 0.0)
+        return _masked(y >= 0, self.rate * np.exp(-self.rate * np.maximum(y, 0.0)), 0.0)
 
     def cdf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, -np.expm1(-self.rate * np.maximum(y, 0.0)), 0.0)
+        return _masked(y > 0, -np.expm1(-self.rate * np.maximum(y, 0.0)), 0.0)
 
     def sf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, np.exp(-self.rate * np.maximum(y, 0.0)), 1.0)
+        return _masked(y > 0, np.exp(-self.rate * np.maximum(y, 0.0)), 1.0)
 
     def quantile(self, u):
         u = _as_float_array(u)
@@ -123,15 +133,15 @@ class HalfNormal(_Family):
         y = _as_float_array(y)
         nu = self.scale
         val = math.sqrt(2.0 / math.pi) / nu * np.exp(-np.square(np.maximum(y, 0.0)) / (2 * nu * nu))
-        return np.where(y >= 0, val, 0.0)
+        return _masked(y >= 0, val, 0.0)
 
     def cdf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, special.erf(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 0.0)
+        return _masked(y > 0, special.erf(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 0.0)
 
     def sf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, special.erfc(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 1.0)
+        return _masked(y > 0, special.erfc(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 1.0)
 
     def quantile(self, u):
         u = _as_float_array(u)
@@ -189,14 +199,14 @@ class HalfCauchy(_Family):
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, 0.0)
         val = (s / math.pi) * _mirror_sum(lambda z: 1.0 / (z ** 2 + s * s), yy, m)
-        return np.where(y >= 0, val, 0.0)
+        return _masked(y >= 0, val, 0.0)
 
     def cdf(self, y):
         y = _as_float_array(y)
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, 0.0)
         val = _mirror_sum(lambda z: np.arctan(z / s), yy, m) / math.pi
-        return np.where(y > 0, val, 0.0)
+        return _masked(y > 0, val, 0.0)
 
     def sf(self, y):
         # arctan(z) + arctan(1/z) = pi/2 for z > 0 gives a cancellation-free
@@ -205,7 +215,7 @@ class HalfCauchy(_Family):
         m, s = abs(self.location), self.scale
         yy = np.maximum(y, m + s)
         tail = y > m + s
-        out = np.where(tail, _mirror_sum(lambda z: np.arctan(s / z), yy, m) / math.pi, 1.0)
+        out = _masked(tail, _mirror_sum(lambda z: np.arctan(s / z), yy, m) / math.pi, 1.0)
         if not tail.all():  # y <= m + s and NaN take the cdf
             out[~tail] = 1.0 - self.cdf(y[~tail])
         return out
@@ -263,18 +273,18 @@ class ChiSquare(_Family):
             logpdf -= half * math.log(2.0) + special.gammaln(half)
             val = np.exp(logpdf)
         if self.df == 2:
-            val = np.where(y == 0, 0.5, val)
+            val = _masked(y != 0, val, 0.5)
         else:
-            val = np.where(y == 0, 0.0, val)
-        return np.where(y >= 0, val, 0.0)
+            val = _masked(y != 0, val, 0.0)
+        return _masked(y >= 0, val, 0.0)
 
     def cdf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, special.gammainc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 0.0)
+        return _masked(y > 0, special.gammainc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 0.0)
 
     def sf(self, y):
         y = _as_float_array(y)
-        return np.where(y > 0, special.gammaincc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 1.0)
+        return _masked(y > 0, special.gammaincc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 1.0)
 
     def quantile(self, u):
         u = _as_float_array(u)
@@ -427,15 +437,15 @@ class DiscretizedLaw:
         k = _as_float_array(k)
         lo = self.base.cdf(np.maximum(k, 0.0) / self.sigma)
         hi = self.base.cdf((np.maximum(k, 0.0) + 1.0) / self.sigma)
-        return np.where(k >= 0, hi - lo, 0.0)
+        return _masked(k >= 0, hi - lo, 0.0)
 
     def cdf(self, k):
         k = _as_float_array(k)
-        return np.where(k >= 0, self.base.cdf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 0.0)
+        return _masked(k >= 0, self.base.cdf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 0.0)
 
     def sf(self, k):
         k = _as_float_array(k)
-        return np.where(k >= 0, self.base.sf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 1.0)
+        return _masked(k >= 0, self.base.sf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 1.0)
 
     def quantile(self, u):
         """Smallest k with CDF(k) >= u."""

@@ -164,12 +164,17 @@ def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
     return np.exp(log_sigma)
 
 
-def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarray] = None):
+def _evolve(params: ModelParams, n: int, R: int, uniforms):
     """The recursion over R replicates, in one loop for every R.
 
-    u_y has shape (R, n+1): column 0 seeds X_0 ~ law(sigma0), column t the
-    innovation of step t.  u_c (R, n) supplies exogenous draws for the iid
-    kind; column t-1 is consumed at step t.
+    ``uniforms(width)`` returns the (R, width) matrix of draws: column 0
+    seeds X_0 ~ law(sigma0), column t the innovation of step t, and for the
+    iid kind columns n+1.. the n exogenous draws, column n+t consumed at
+    step t.  The matrix lives only in this frame: it is dropped once the
+    innovations ``ys`` and the iid exogenous terms ``cs`` exist, before
+    ``sig`` and ``xs`` are allocated.  For the trend kind ``cs`` is a
+    broadcast view of one (n+1) row ``c ln t`` that every replicate shares,
+    so the loop holds three (R, n+1) matrices: ``ys``, ``sig`` and ``xs``.
 
     Step t reads element t of views of the (R, n+1) matrices, never copies:
     at R = 1 the rows, so it steps numpy scalars; at R > 1 the transposes,
@@ -180,14 +185,22 @@ def _evolve(params: ModelParams, n: int, u_y: np.ndarray, u_c: Optional[np.ndarr
     same bits on a scalar, a contiguous and a strided array, so a replicate's
     path never depends on R or on the block it runs in.
     """
-    R = u_y.shape[0]
+    if n < 0:
+        raise ConfigError("trajectory length must be >= 0")
+    iid = params.exogenous.kind == "iid"
+    width = 2 * n + 1 if iid else n + 1
+    _check_shape(R, width)
     # neither the innovations nor the exogenous terms depend on the recursion
-    ys = params.innovation.quantile(u_y)
-    cs = np.zeros((R, n + 1))
-    if u_c is None:
-        cs[:, 1:] = [_exo_term(params, t, None) for t in range(1, n + 1)]
+    u = uniforms(width)
+    ys = params.innovation.quantile(u[:, :n + 1])
+    if iid:
+        cs = np.zeros((R, n + 1))
+        cs[:, 1:] = params.exogenous.quantile(u[:, n + 1:])
     else:
-        cs[:, 1:] = params.exogenous.quantile(u_c)
+        row = np.zeros(n + 1)
+        row[1:] = [_exo_term(params, t, None) for t in range(1, n + 1)]
+        cs = np.broadcast_to(row, (R, n + 1))
+    del u
     sig = np.empty((R, n + 1))
     xs = np.empty((R, n + 1))
     sig[:, 0] = params.sigma0
@@ -219,24 +232,13 @@ def _check_shape(rows: int, width: int) -> None:
         raise ConfigError(f"a {rows} x {width} matrix of draws is too large for any array")
 
 
-def _evolve_rows(params: ModelParams, n: int, rows: int, uniforms):
-    """``_evolve`` on ``uniforms(width)``, a (rows, width) matrix whose rows hold
-    the n+1 innovation uniforms followed, for the iid kind, by n exogenous ones."""
-    if n < 0:
-        raise ConfigError("trajectory length must be >= 0")
-    iid = params.exogenous.kind == "iid"
-    width = 2 * n + 1 if iid else n + 1
-    _check_shape(rows, width)
-    u = uniforms(width)
-    return _evolve(params, n, u[:, :n + 1], u[:, n + 1:] if iid else None)
-
-
 def simulate(params: ModelParams, n: int, master_seed: int) -> Trajectory:
     """Simulate (sigma_t, X_t) for t = 0..n, deterministically in the seed."""
     validate(params)
-    sig, xs, cs, ys = _evolve_rows(
+    sig, xs, cs, ys = _evolve(
         params, n, 1, lambda width: _rng.stream(master_seed).random((1, width)))
-    return Trajectory(sigma=sig[0], x=xs[0], c_exo=cs[0], y=ys[0])
+    # c_exo copies its row: a trend row is a read-only broadcast view
+    return Trajectory(sigma=sig[0], x=xs[0], c_exo=np.array(cs[0]), y=ys[0])
 
 
 def simulate_replicate_block(params: ModelParams, n: int, master_seed: int,
@@ -245,8 +247,8 @@ def simulate_replicate_block(params: ModelParams, n: int, master_seed: int,
 
     Returns arrays of shape (hi-lo, n+1): sigma, x.
     """
-    sig, xs, _, _ = _evolve_rows(params, n, hi - lo,
-                                 partial(_rng.uniform_rows, master_seed, lo, hi))
+    sig, xs, _, _ = _evolve(params, n, hi - lo,
+                            partial(_rng.uniform_rows, master_seed, lo, hi))
     return sig, xs
 
 

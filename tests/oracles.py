@@ -14,11 +14,14 @@ No program path calls them; they live here, beside the tests, and not in
 * ``loglog_sum_check``, the sum ``sum_t ln(t+h) ln(t)`` against its leading
   term ``n ln(n)^2``, which the trend weights rest on, and
 * ``fmt``, the text of one CSV cell, the scalar reference of
-  ``cli._fmt_column``.
+  ``cli._fmt_column``, and
+* ``ar1_paths``, the AR(1) multiplier paths from one ``lfilter`` call on a
+  copy of the normals, the reference of ``bootstrap._ar1_filter``.
 """
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from logcount.errors import ConfigError, NumericError
 from logcount.innovations import DENSE_MAX, TAIL, ChiSquare, DiscretizedLaw, HalfCauchy
@@ -130,3 +133,16 @@ def fmt(v) -> str:
     if math.isfinite(f) and f == int(f) and abs(f) < 2**53:
         return str(int(f))
     return repr(f)
+
+
+def ar1_paths(eps: np.ndarray, l_n: float) -> np.ndarray:
+    """AR(1) paths with covariance exp(-|s-t|/l_n) from standard normal rows.
+
+    Column 0 of ``eps`` starts each path at unit variance; the later columns,
+    scaled by ``sqrt(1 - phi^2)``, drive ``W_t = phi W_{t-1} + ...`` with
+    ``phi = exp(-1/l_n)``, filtered over all rows at once.  ``eps`` is left
+    as it is.
+    """
+    v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
+    v[:, 0] = eps[:, 0]
+    return lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], v, axis=1)

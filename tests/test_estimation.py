@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def test_theta_bar_heavy_intercept_regime():
     logt = np.log(np.arange(1, 401))
     drift = float(logt.sum() / (logt @ logt))  # O(1/ln n) correction scale
     assert abs(tb.theta_bar - 2.0) < 1.5 * drift
+
+
+@pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(0.0, 1.0), lc.ChiSquare(6.0)],
+                         ids=["exponential", "half_cauchy", "chi_square"])
+def test_theta_bar_chunk_holds_three_replicate_matrices(innovation):
+    # one 512-row chunk: the innovations, sigma and X; the trend row is shared
+    # by every replicate and the uniforms are freed before sigma and X exist
+    params = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=innovation)
+    n, loops = 500, 512
+    lc.theta_bar_mc(params, 20, loops, 1)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        lc.theta_bar_mc(params, n, loops, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * loops * (n + 1) * 8
 
 
 def test_asymptotic_sigma2_values():
