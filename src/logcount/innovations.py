@@ -31,9 +31,10 @@ from .errors import ConfigError, NumericError
 TAIL = 1e-12
 # Grid size for the monotone-envelope fallback in constant computation.
 ENVELOPE_GRID = 10_000
-# Largest pmf table materialized by dense routines.
+# Most indices the dense TV head sums before the tail goes on in blocks.
 DENSE_MAX = 4_000_000
-# Indices per block of the dense TV head; a block's temporaries fit in L2.
+# Most indices per leaf of the dense TV head's summation tree; a leaf's
+# temporaries fit in L2, and only one leaf is held at a time.
 HEAD_BLOCK = 2**14
 # Below this relative scale gap the crossing test integrates the density.
 NEAR_GAP = 1e-2
@@ -226,12 +227,22 @@ class HalfCauchy(_Family):
         if m == 0.0:
             return np.where(u < 1.0, s * np.tan(math.pi * u / 2.0), np.inf)
         # cot(pi u) from the nearer end of (0, 1) and the root without
-        # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf)
+        # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf).
+        # Each branch fills its entries of one array in place; -(1/t) and
+        # -1/t round alike, so the bits are those of the two-branch select
         c = m * m + s * s
+        upper = u > 0.5
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_cot = s * np.where(u > 0.5, -1.0 / np.tan(math.pi * (1.0 - u)), 1.0 / np.tan(math.pi * u))
-            r = np.hypot(s_cot, math.sqrt(c))
-            return np.where(s_cot > 0, c / (s_cot + r), r - s_cot)
+            s_cot = np.subtract(1.0, u, out=u.copy(), where=upper)
+            s_cot *= math.pi
+            np.divide(1.0, np.tan(s_cot, out=s_cot), out=s_cot)
+            np.negative(s_cot, out=s_cot, where=upper)
+            s_cot *= s
+            r = np.hypot(s_cot, math.sqrt(c), out=np.empty_like(s_cot))  # an array at 0-d too
+            pos = s_cot > 0
+            np.subtract(r, s_cot, out=r, where=~pos)
+            np.add(s_cot, r, out=r, where=pos)
+            return np.divide(c, r, out=r, where=pos)
 
     def crossing(self, s_lo, s_hi):
         # With z = y^2, L = s_lo^2, H = s_hi^2, the scaled densities are equal
@@ -518,17 +529,23 @@ def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
 def _head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:
     """``sum_{j <= k} |p1(j) - p2(j)|``, bit for bit the one-call pmf sum.
 
-    ``pmf(j) = cdf((j+1)/s) - cdf(j/s)``, so one ``cdf`` call per law on the
-    edges of a block of ``HEAD_BLOCK`` indices gives the same doubles as two
-    calls per law on the whole head.  The sum runs once over the whole
-    buffer, because numpy's pairwise order depends on the length.
+    numpy sums a float64 array pairwise: a range of more than 128 entries
+    splits at half its length, rounded down to a multiple of 8.  The head
+    ``[0, k]`` splits the same way until a range holds at most
+    ``HEAD_BLOCK`` entries; each such leaf is filled and summed by numpy,
+    and the leaf sums are added back in the tree's order.  ``pmf(j) =
+    cdf((j+1)/s) - cdf(j/s)``, so one ``cdf`` call per law on a leaf's edges
+    gives the same doubles as two calls per law on the whole head.
     """
-    d = np.empty(k + 1)
-    for lo in range(0, k + 1, HEAD_BLOCK):
-        hi = min(lo + HEAD_BLOCK, k + 1)
+    def tree(lo, hi):
+        if hi - lo > HEAD_BLOCK:
+            mid = lo + (hi - lo) // 2 // 8 * 8
+            return tree(lo, mid) + tree(mid, hi)
         e = np.arange(lo, hi + 1, dtype=float)
-        d[lo:hi] = np.diff(law1.base.cdf(e / law1.sigma)) - np.diff(law2.base.cdf(e / law2.sigma))
-    return float(np.abs(d, out=d).sum())
+        d = np.diff(law1.base.cdf(e / law1.sigma)) - np.diff(law2.base.cdf(e / law2.sigma))
+        return float(np.abs(d, out=d).sum())
+
+    return tree(0, k + 1)
 
 
 def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
@@ -536,16 +553,16 @@ def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
 
     Both laws must share the innovation spec.  A dense head of pmf
     differences runs to the 1 - 1e-12 quantile of the larger scale.  It is
-    filled in blocks of ``HEAD_BLOCK`` indices with one ``cdf`` pass per law
-    over each block's edges, and summed once as a whole: splitting the sum
-    would change numpy's pairwise order and so the last bits.  Where the
-    head would pass ``DENSE_MAX`` entries (heavy tails), it stops at the
-    1 - 1e-4 quantile or at ``DENSE_MAX`` and the sum goes on over doubling
-    blocks ``(k, 2k]``: the pmf difference changes sign once, at
-    ``_crossing_index``, so each block is a difference of ``sf`` values,
-    taken once per block edge and carried into the next block, and the one
-    block that holds that index is split there.  Either way the mass above
-    the last index closes the sum.
+    summed in leaves of at most ``HEAD_BLOCK`` indices, one ``cdf`` pass per
+    law over each leaf's edges, and the leaf sums are added in numpy's own
+    pairwise tree, so the head has the bits of one ``sum`` over all its
+    entries without holding them.  Where the head would pass ``DENSE_MAX``
+    entries (heavy tails), it stops at the 1 - 1e-4 quantile or at
+    ``DENSE_MAX`` and the sum goes on over doubling blocks ``(k, 2k]``: the
+    pmf difference changes sign once, at ``_crossing_index``, so each block
+    is a difference of ``sf`` values, taken once per block edge and carried
+    into the next block, and the one block that holds that index is split
+    there.  Either way the mass above the last index closes the sum.
     """
     if law1.base != law2.base:
         raise ConfigError("tv_distance requires both laws to share the innovation spec")

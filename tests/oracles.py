@@ -16,7 +16,11 @@ No program path calls them; they live here, beside the tests, and not in
 * ``fmt``, the text of one CSV cell, the scalar reference of
   ``cli._fmt_column``, and
 * ``ar1_paths``, the AR(1) multiplier paths from one ``lfilter`` call on a
-  copy of the normals, the reference of ``bootstrap._ar1_filter``.
+  copy of the normals, the reference of ``bootstrap._ar1_filter``,
+* ``head_sum``, the dense TV head as one buffer of pmf differences summed
+  by one numpy call, the reference of ``innovations._head_sum``, and
+* ``half_cauchy_quantile``, the half-Cauchy quantile as a select between
+  two whole-array branches, the reference of ``HalfCauchy.quantile``.
 """
 import math
 
@@ -146,3 +150,25 @@ def ar1_paths(eps: np.ndarray, l_n: float) -> np.ndarray:
     v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
     v[:, 0] = eps[:, 0]
     return lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], v, axis=1)
+
+
+def head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:
+    """``sum_{j <= k} |p1(j) - p2(j)|`` from one (k+1)-entry buffer and one ``sum``."""
+    ks = np.arange(k + 1, dtype=float)
+    return float(np.abs(law1.pmf(ks) - law2.pmf(ks)).sum())
+
+
+def half_cauchy_quantile(spec: HalfCauchy, u):
+    """Quantile of a half-Cauchy innovation at a nonzero location.
+
+    ``cot(pi u)`` is taken from the nearer end of (0, 1) in both branches
+    over the whole array and selected, and the root of
+    ``y^2 + 2ys cot(pi u) - c = 0`` likewise.
+    """
+    u = np.asarray(u, dtype=float)
+    m, s = abs(spec.location), spec.scale
+    c = m * m + s * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_cot = s * np.where(u > 0.5, -1.0 / np.tan(math.pi * (1.0 - u)), 1.0 / np.tan(math.pi * u))
+        r = np.hypot(s_cot, math.sqrt(c))
+        return np.where(s_cot > 0, c / (s_cot + r), r - s_cot)

@@ -230,6 +230,11 @@ def files(tmp_path_factory):
                   "innovations": [{"family": "exponential", "rate": True}],
                   "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [True, 2]}, 2),
+    # a scale must be positive; a finite scale whose support overflows a float
+    # is a numeric failure
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [0]}, 2),
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [-1, 2]}, 2),
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1e308, 1]}, 4),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

@@ -175,8 +175,9 @@ def test_theta_bar_heavy_intercept_regime():
     assert abs(tb.theta_bar - 2.0) < 1.5 * drift
 
 
-@pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(0.0, 1.0), lc.ChiSquare(6.0)],
-                         ids=["exponential", "half_cauchy", "chi_square"])
+@pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(0.0, 1.0), lc.ChiSquare(6.0),
+                                        lc.HalfCauchy(4.0, 1.0)],
+                         ids=["exponential", "half_cauchy", "chi_square", "half_cauchy_location_4"])
 def test_theta_bar_chunk_holds_three_replicate_matrices(innovation):
     # one 512-row chunk: the innovations, sigma and X; the trend row is shared
     # by every replicate and the uniforms are freed before sigma and X exist
@@ -190,6 +191,23 @@ def test_theta_bar_chunk_holds_three_replicate_matrices(innovation):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * loops * (n + 1) * 8
+
+
+@pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(0.0, 1.0)],
+                         ids=["exponential", "half_cauchy"])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_trend_variance_scale_is_the_log_square_sum_at_finite_n(innovation, n):
+    # Var(theta_hat) is sigma^2 over sum ln^2 t, not over n ln^2 n: the two
+    # differ by 1 / (1 - 2/ln n + ...), 1.3-1.4 at these n, while the sample
+    # variance of 4096 replicates has a relative SE of sqrt(2/4095)
+    params = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=innovation)
+    thetas = lc.ensemble_theta_hats(params, n, 4096, 2024)
+    var = float(thetas.var(ddof=1))
+    sigma2 = lc.asymptotic_sigma2(params)
+    logt = np.log(np.arange(1, n + 1, dtype=float))
+    bound = 4.0 * math.sqrt(2.0 / 4095)
+    assert abs(var * float(logt @ logt) / sigma2 - 1.0) < bound
+    assert abs(var * n * math.log(n) ** 2 / sigma2 - 1.0) > bound
 
 
 def test_asymptotic_sigma2_values():

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import logcount as lc
 from logcount.errors import ConfigError
 from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sum
-from oracles import density_slope, support_bound
+from oracles import density_slope, half_cauchy_quantile, head_sum, support_bound
 
 EXP = lc.Exponential(1.0)
 HN_UNIT = lc.HalfNormal(math.sqrt(math.pi / 2.0))  # E[Y] = scale * sqrt(2/pi) = 1
@@ -111,6 +111,22 @@ def test_half_cauchy_quantile_matches_mpmath(m, s):
             exact = mpmath.exp(_mp_bisect(lambda ln_y: cdf(ln_y) < mpmath.mpf(u), -80, 80))
             worst = max(worst, float(abs(mpmath.mpf(float(y)) - exact) / exact))
     assert worst < 1e-14
+
+
+@pytest.mark.parametrize("m,s", BUMPED_HC + [(-0.3, 1.0)])
+def test_half_cauchy_quantile_has_the_two_branch_bits(m, s):
+    # the branches fill one array in place; every entry keeps the bits of the
+    # select between two whole-array branches, at both ends and around 1/2
+    spec = lc.HalfCauchy(m, s)
+    half = np.nextafter(0.5, [0.0, 1.0])
+    grid = np.concatenate([[0.0, 0.5, 1.0, np.nan], half, LEVELS,
+                           np.random.default_rng(8).random(4000)])
+    inputs = ([grid, np.stack([grid, grid[::-1]])]
+              + [np.float64(u) for u in grid[:8]] + [float(u) for u in grid[:8]])
+    for u in inputs:
+        got, want = spec.quantile(u), half_cauchy_quantile(spec, u)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), u
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -572,27 +588,45 @@ def test_tv_capped_head_values_pinned(spec, s_lo, s_hi, expected):
 
 
 @pytest.mark.parametrize("spec", [EXP, HC0, HC4], ids=str)
-@pytest.mark.parametrize("length", [1, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1,
-                                    2 * HEAD_BLOCK + 1])
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 128, 129, HEAD_BLOCK - 1, HEAD_BLOCK,
+                                    HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 1, 3 * HEAD_BLOCK + 5])
 def test_blocked_head_sum_equals_one_call_pmf_sum(spec, length):
-    # scales that spread the mass over the whole head, so every block counts
-    law1, law2 = lc.DiscretizedLaw(spec, length / 8), lc.DiscretizedLaw(spec, length / 6)
-    ks = np.arange(length, dtype=float)
-    oracle = np.abs(law1.pmf(ks) - law2.pmf(ks)).sum()
-    got = np.float64(_head_sum(law1, law2, length - 1))
-    assert got.view(np.int64) == oracle.view(np.int64)
+    # the lengths cross numpy's 8-wide unrolling, its 128-entry pairwise
+    # block and the leaf size, and split into leaves of unequal length.
+    # Close scales spread the mass over the whole head, so every leaf counts;
+    # far scales mix large and small terms, whose sum a split moved by a few
+    # entries rounds differently
+    for s_lo in (length / 8, 1.0):
+        law1, law2 = lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, length / 6)
+        oracle = np.float64(head_sum(law1, law2, length - 1))
+        got = np.float64(_head_sum(law1, law2, length - 1))
+        assert got.view(np.int64) == oracle.view(np.int64), s_lo
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_tv_capped_head_memory_stays_in_blocks():
-    # the head of DENSE_MAX entries holds one buffer, not a pmf table per law
+    # the head of DENSE_MAX entries holds one leaf of HEAD_BLOCK indices at a
+    # time, not a buffer of the whole head (32 MB)
     law1, law2 = lc.DiscretizedLaw(HC0, 1000.0), lc.DiscretizedLaw(HC0, 1500.0)
-    tracemalloc.start()
-    try:
-        lc.tv_distance(law1, law2)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak < 64.0
+    assert _traced_peak_mb(lambda: lc.tv_distance(law1, law2)) < 2.0
+
+
+def test_tv_bound_check_on_benchmark_grid_holds_one_leaf():
+    # the tv-check grid of the mixing-check benchmark: HC(0,1) and HC(4,1)
+    # at scale 200 have heads of 1.27e6 entries, 9.7 MB as one buffer
+    specs = [EXP, HC0, HC4, lc.ChiSquare(6)]
+    for spec in specs:
+        lc.compute_constants(spec)  # the cached constants, outside the trace
+    peaks = [_traced_peak_mb(lambda: lc.tv_bound_check(spec, TV_GRID_SIGMAS)) for spec in specs]
+    assert max(peaks) < 2.0
 
 
 def test_tv_bound_check_report():
