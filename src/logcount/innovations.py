@@ -435,7 +435,11 @@ def compute_constants(spec: InnovationSpec) -> DistributionConstants:
 
 @dataclass(frozen=True)
 class DiscretizedLaw:
-    """Law of ``X = floor(sigma * Y)`` on the non-negative integers."""
+    """Law of ``X = floor(sigma * Y)`` on the non-negative integers.
+
+    At a tiny sigma, ``k / sigma`` overflows to inf, the intended quotient
+    (``cdf`` 1, ``sf`` 0 there), so ``pmf``, ``cdf`` and ``sf`` do not warn.
+    """
 
     base: InnovationSpec
     sigma: float
@@ -446,17 +450,22 @@ class DiscretizedLaw:
 
     def pmf(self, k):
         k = _as_float_array(k)
-        lo = self.base.cdf(np.maximum(k, 0.0) / self.sigma)
-        hi = self.base.cdf((np.maximum(k, 0.0) + 1.0) / self.sigma)
-        return _masked(k >= 0, hi - lo, 0.0)
+        with np.errstate(over="ignore"):
+            y_lo = np.maximum(k, 0.0) / self.sigma
+            y_hi = (np.maximum(k, 0.0) + 1.0) / self.sigma
+        return _masked(k >= 0, self.base.cdf(y_hi) - self.base.cdf(y_lo), 0.0)
 
     def cdf(self, k):
         k = _as_float_array(k)
-        return _masked(k >= 0, self.base.cdf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 0.0)
+        with np.errstate(over="ignore"):
+            y = (np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma
+        return _masked(k >= 0, self.base.cdf(y), 0.0)
 
     def sf(self, k):
         k = _as_float_array(k)
-        return _masked(k >= 0, self.base.sf((np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma), 1.0)
+        with np.errstate(over="ignore"):
+            y = (np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma
+        return _masked(k >= 0, self.base.sf(y), 1.0)
 
     def quantile(self, u):
         """Smallest k with CDF(k) >= u."""
@@ -526,50 +535,15 @@ def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
 # Total variation distance
 # ---------------------------------------------------------------------------
 
-def _head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:
-    """``sum_{j <= k} |p1(j) - p2(j)|``, bit for bit the one-call pmf sum.
+def _dense_head(base: InnovationSpec, s_hi: float) -> tuple[int, bool]:
+    """Last index ``k`` of the dense TV head for the larger scale ``s_hi``.
 
-    numpy sums a float64 array pairwise: a range of more than 128 entries
-    splits at half its length, rounded down to a multiple of 8.  The head
-    ``[0, k]`` splits the same way until a range holds at most
-    ``HEAD_BLOCK`` entries; each such leaf is filled and summed by numpy,
-    and the leaf sums are added back in the tree's order.  ``pmf(j) =
-    cdf((j+1)/s) - cdf(j/s)``, so one ``cdf`` call per law on a leaf's edges
-    gives the same doubles as two calls per law on the whole head.
+    The head runs to the 1 - 1e-12 quantile of the ``s_hi`` law.  Where that
+    would pass ``DENSE_MAX`` entries (heavy tails), it stops at the 1 - 1e-4
+    quantile or at ``DENSE_MAX`` and ``heavy`` is True: the sum goes on over
+    doubling blocks.  The head depends on ``s_hi`` alone, so every partner
+    scale shares it.
     """
-    def tree(lo, hi):
-        if hi - lo > HEAD_BLOCK:
-            mid = lo + (hi - lo) // 2 // 8 * 8
-            return tree(lo, mid) + tree(mid, hi)
-        e = np.arange(lo, hi + 1, dtype=float)
-        d = np.diff(law1.base.cdf(e / law1.sigma)) - np.diff(law2.base.cdf(e / law2.sigma))
-        return float(np.abs(d, out=d).sum())
-
-    return tree(0, k + 1)
-
-
-def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
-    """Total variation distance ``0.5 * sum_k |p1(k) - p2(k)|`` of two count laws.
-
-    Both laws must share the innovation spec.  A dense head of pmf
-    differences runs to the 1 - 1e-12 quantile of the larger scale.  It is
-    summed in leaves of at most ``HEAD_BLOCK`` indices, one ``cdf`` pass per
-    law over each leaf's edges, and the leaf sums are added in numpy's own
-    pairwise tree, so the head has the bits of one ``sum`` over all its
-    entries without holding them.  Where the head would pass ``DENSE_MAX``
-    entries (heavy tails), it stops at the 1 - 1e-4 quantile or at
-    ``DENSE_MAX`` and the sum goes on over doubling blocks ``(k, 2k]``: the
-    pmf difference changes sign once, at ``_crossing_index``, so each block
-    is a difference of ``sf`` values, taken once per block edge and carried
-    into the next block, and the one block that holds that index is split
-    there.  Either way the mass above the last index closes the sum.
-    """
-    if law1.base != law2.base:
-        raise ConfigError("tv_distance requires both laws to share the innovation spec")
-    if law1.sigma == law2.sigma:
-        return 0.0
-    base = law1.base
-    s_lo, s_hi = sorted((law1.sigma, law2.sigma))
     k_top = s_hi * float(base.quantile(1.0 - TAIL))
     if not math.isfinite(k_top):
         raise NumericError(f"the support of scale {s_hi!r} overflows a float")
@@ -577,22 +551,94 @@ def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
     heavy = k > DENSE_MAX
     if heavy:
         k = min(int(math.ceil(s_hi * float(base.quantile(1.0 - 1e-4)))), DENSE_MAX)
-    acc = _head_sum(law1, law2, k)
+    return k, heavy
 
-    def sfs(j):
-        return float(law1.sf(j)), float(law2.sf(j))
 
-    edge = sfs(k)  # both sf values at k, carried from block to block
+def _head_sums(base: InnovationSpec, s_hi: float, s_los, k: int) -> np.ndarray:
+    """``sum_{j <= k} |p_hi(j) - p_lo(j)|`` for each ``s_lo`` in ``s_los``.
+
+    Each sum has the bits of one ``sum`` over a buffer of all its entries.
+    numpy sums a float64 array pairwise: a range of more than 128 entries
+    splits at half its length, rounded down to a multiple of 8.  The head
+    ``[0, k]`` splits the same way until a range holds at most
+    ``HEAD_BLOCK`` entries; each such leaf is filled and summed by numpy,
+    and the leaf sums are added back in the tree's order.  ``pmf(j) =
+    cdf((j+1)/s) - cdf(j/s)``, so one ``cdf`` call per law on a leaf's edges
+    gives the same doubles as two calls per law on the whole head.  A leaf
+    computes the ``s_hi`` law's pmf once and every partner subtracts its own
+    from it; ``|a - b| == |b - a|``, so the order of the two laws does not
+    change a bit.
+    """
+    def tree(lo, hi):
+        if hi - lo > HEAD_BLOCK:
+            mid = lo + (hi - lo) // 2 // 8 * 8
+            return tree(lo, mid) + tree(mid, hi)
+        e = np.arange(lo, hi + 1, dtype=float)
+        p_hi = np.diff(base.cdf(e / s_hi))
+        sums = np.empty(len(s_los))
+        for i, s_lo in enumerate(s_los):
+            d = np.diff(base.cdf(e / s_lo))
+            d -= p_hi
+            sums[i] = np.abs(d, out=d).sum()
+        return sums
+
+    with np.errstate(over="ignore"):  # e / s_lo at a tiny s_lo, as in DiscretizedLaw
+        return tree(0, k + 1)
+
+
+def _tv_sums(base: InnovationSpec, s_hi: float, s_los, head: tuple[int, bool]) -> list[float]:
+    """Total variation distance of the ``s_hi`` law to each law in ``s_los``.
+
+    ``head`` is ``_dense_head(base, s_hi)``, and every ``s_lo`` differs from
+    ``s_hi``.  The dense head is summed by ``_head_sums``, one walk for all
+    partners.  On a heavy head the sum goes on over doubling blocks ``(k,
+    2k]``: the pmf difference changes sign once, at ``_crossing_index``, so
+    each block is a difference of ``sf`` values, taken once per block edge
+    and carried into the next block, and the one block that holds that
+    index is split there.  Either way the mass above the last index closes
+    the sum.
+    """
+    k0, heavy = head
+    accs = _head_sums(base, s_hi, s_los, k0)
+    law_hi = DiscretizedLaw(base, s_hi)
+    sf_hi = lru_cache(maxsize=None)(lambda j: float(law_hi.sf(j)))  # shared block edges
     if heavy:
         # p_hi - p_lo < 0 below the crossing index and >= 0 from it on, so the
         # block that holds the index splits there into two one-signed runs
-        split = float(_crossing_index(base, np.array([s_lo]), np.array([s_hi]))[0]) - 1.0
-        while max(edge) >= TAIL and k <= 1e17:
-            vals = [edge, sfs(split), sfs(2 * k)] if k < split < 2 * k else [edge, sfs(2 * k)]
-            for (a1, a2), (b1, b2) in zip(vals[:-1], vals[1:]):
-                acc += abs((a1 - b1) - (a2 - b2))
-            k, edge = 2 * k, vals[-1]
-    return 0.5 * (acc + abs(edge[0] - edge[1]))
+        splits = _crossing_index(base, np.array(s_los), np.full(len(s_los), s_hi)) - 1.0
+    tvs = []
+    for i, s_lo in enumerate(s_los):
+        law_lo = DiscretizedLaw(base, s_lo)
+
+        def sfs(j):
+            return sf_hi(j), float(law_lo.sf(j))
+
+        k, acc = k0, float(accs[i])
+        edge = sfs(k)  # both sf values at k, carried from block to block
+        if heavy:
+            split = float(splits[i])
+            while max(edge) >= TAIL and k <= 1e17:
+                vals = [edge, sfs(split), sfs(2 * k)] if k < split < 2 * k else [edge, sfs(2 * k)]
+                for (a1, a2), (b1, b2) in zip(vals[:-1], vals[1:]):
+                    acc += abs((a1 - b1) - (a2 - b2))
+                k, edge = 2 * k, vals[-1]
+        tvs.append(0.5 * (acc + abs(edge[0] - edge[1])))
+    return tvs
+
+
+def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
+    """Total variation distance ``0.5 * sum_k |p1(k) - p2(k)|`` of two count laws.
+
+    Both laws must share the innovation spec.  It is the one-partner call of
+    ``_tv_sums``, which ``tv_bound_check`` calls once per larger scale, so
+    both give a pair the same bits.
+    """
+    if law1.base != law2.base:
+        raise ConfigError("tv_distance requires both laws to share the innovation spec")
+    if law1.sigma == law2.sigma:
+        return 0.0
+    s_lo, s_hi = sorted((law1.sigma, law2.sigma))
+    return _tv_sums(law1.base, s_hi, [s_lo], _dense_head(law1.base, s_hi))[0]
 
 
 @dataclass(frozen=True)
@@ -618,17 +664,33 @@ def tv_bound_check(spec: InnovationSpec, sigma_grid) -> TVBoundReport:
     """Check ``tv(P_s, P_s') <= big_gamma * |ln s - ln s'|`` over a grid.
 
     ``sigma_grid`` is a flat list of scales; every pair ``(grid[i], grid[j])``
-    with ``i <= j`` is checked, in row order.  A violation beyond 1e-9
-    raises NumericError.
+    with ``i <= j`` is checked, in row order.  The distinct unequal pairs
+    are grouped by their larger scale ``s_hi``, and one ``_tv_sums`` call
+    per group walks the dense head of the ``s_hi`` law once for all its
+    partners; each tv has the bits of ``tv_distance`` on its pair.  Scales
+    are checked, and head lengths taken, in row order first, so an invalid
+    scale (ConfigError) or an overflowing support (NumericError) is reported
+    for the same pair as one ``tv_distance`` call per row would.  A
+    violation beyond 1e-9 raises NumericError.
     """
     grid = [float(s) for s in sigma_grid]
     pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]
     if not pairs:
         raise ConfigError("tv_bound_check needs at least one scale")
     big_gamma = compute_constants(spec).big_gamma
+    heads, partners = {}, {}  # by s_hi: its dense head and its s_lo, first seen first
+    for s, sp in pairs:
+        DiscretizedLaw(spec, s), DiscretizedLaw(spec, sp)  # ConfigError on a bad scale
+        if s != sp:
+            s_lo, s_hi = sorted((s, sp))
+            if s_hi not in heads:
+                heads[s_hi] = _dense_head(spec, s_hi)
+            partners.setdefault(s_hi, {})[s_lo] = None
+    tvs = {s_hi: dict(zip(s_los, _tv_sums(spec, s_hi, list(s_los), heads[s_hi])))
+           for s_hi, s_los in partners.items()}
     rows = []
     for s, sp in pairs:
-        tv = tv_distance(DiscretizedLaw(spec, s), DiscretizedLaw(spec, sp))
+        tv = tvs[max(s, sp)][min(s, sp)] if s != sp else 0.0
         bound = big_gamma * abs(math.log(s) - math.log(sp))
         rows.append(TVBoundRow(sigma=s, sigma_prime=sp, tv=tv, bound=bound, slack=bound - tv))
     report = TVBoundReport(big_gamma=big_gamma, rows=tuple(rows))

@@ -17,8 +17,9 @@ No program path calls them; they live here, beside the tests, and not in
   ``cli._fmt_column``, and
 * ``ar1_paths``, the AR(1) multiplier paths from one ``lfilter`` call on a
   copy of the normals, the reference of ``bootstrap._ar1_filter``,
-* ``head_sum``, the dense TV head as one buffer of pmf differences summed
-  by one numpy call, the reference of ``innovations._head_sum``, and
+* ``head_sum``, the dense TV head of one pair as one buffer of pmf
+  differences summed by one numpy call, the reference of each partner's sum
+  in ``innovations._head_sums``, and
 * ``half_cauchy_quantile``, the half-Cauchy quantile as a select between
   two whole-array branches, the reference of ``HalfCauchy.quantile``.
 """

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,9 @@ def files(tmp_path_factory):
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [0]}, 2),
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [-1, 2]}, 2),
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1e308, 1]}, 4),
+    # with both, the row that comes first decides, though pairs share heads
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1, 1e308, -1]}, 4),
+    ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1, -1, 1e308]}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
@@ -335,4 +339,28 @@ def test_fuzzed_configs_exit_with_a_documented_code(files, command_config):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
     (files / "config.json").write_text(text)
     argv = [command, "--config", str(files / "config.json"), "--out", str(files / "out")]
-    assert cli.main(argv) in (0, 2, 3, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    # a ci config with readable counts may draw the bootstrap's own warnings
+    for w in caught:
+        assert w.category is UserWarning and any(m in str(w.message) for m in CI_WARNINGS), w
+
+
+# the UserWarnings of bootstrap.confidence_interval: a low B and its two
+# regime checks (BootstrapConfig.regime_warnings)
+CI_WARNINGS = ("bootstrap draws is low", "multiplier range should stay below",
+               "centering bias may dominate")
+
+
+def test_ci_outside_the_regime_warns_through_the_cli(tmp_path, files):
+    # 30 counts at l_n=2, N_n=5: l_n*N_n*ln(30)^2/30 = 3.86
+    config = {"data": str(files / "counts.csv"), "bootstrap": BOOTSTRAP, "seed": 3}
+    with pytest.warns(UserWarning) as caught:
+        code, _ = run(tmp_path, "ci", config)
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "B=50 bootstrap draws is low; quantiles will be coarse",
+        "l_n*N_n*ln(n)^2/n = 3.86 >= 1: centering bias may dominate",
+    ]

@@ -91,6 +91,8 @@ TEST_ONLY_PUBLIC = {
     "t_star_variance": "paper math: the exact conditional variance of the bootstrap statistic",
     "coupled_draw": "the public single draw of the ordered maximal coupling",
     "multipliers": "the paper's multiplier process, the bit-for-bit reference of bootstrap._draws",
+    "tv_distance": "paper math: the TV distance of two count laws, the one-pair call of "
+                   "tv_bound_check's grouped head",
 }
 
 

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 import logcount as lc
 from logcount.errors import ConfigError
-from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sum
+from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sums
 from oracles import density_slope, half_cauchy_quantile, head_sum, support_bound
 
 EXP = lc.Exponential(1.0)
@@ -483,6 +483,13 @@ def test_tv_far_scales_skip_quadrature_rule():
     assert out.stdout.strip() == "0"
 
 
+def test_tv_tiny_scale_overflows_to_its_limit_without_warning():
+    # (k+1)/1e-300 overflows to inf in the tail walk, where cdf is 1: the
+    # tv is 1 - cdf_hc(1) = 1/2
+    law1, law2 = lc.DiscretizedLaw(HC0, 1e-300), lc.DiscretizedLaw(HC0, 1.0)
+    assert lc.tv_distance(law1, law2) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_tv_symmetric():
     a = lc.DiscretizedLaw(HN_UNIT, 1.3)
     b = lc.DiscretizedLaw(HN_UNIT, 4.1)
@@ -572,6 +579,21 @@ def test_tv_grid_values_pinned(spec, expected):
     assert [repr(v) for v in got] == [repr(v) for v in expected]
 
 
+# the pinned grid, an unsorted grid with a repeated scale, and close
+# heavy-tailed scales whose capped heads of DENSE_MAX entries the group of
+# 3.001e3 shares
+@pytest.mark.parametrize("grid", [TV_GRID_SIGMAS, [200, 1, 5, 200, 2.5], [3e3, 3.001e3, 1]],
+                         ids=str)
+@pytest.mark.parametrize("spec", [EXP, HN_UNIT, lc.ChiSquare(6), HC0, HC4], ids=str)
+def test_tv_bound_check_rows_equal_per_pair_tv_distance(spec, grid):
+    report = lc.tv_bound_check(spec, grid)
+    pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]
+    assert [(r.sigma, r.sigma_prime) for r in report.rows] == pairs
+    expected = [lc.tv_distance(lc.DiscretizedLaw(spec, a), lc.DiscretizedLaw(spec, b))
+                for a, b in pairs]
+    assert [repr(r.tv) for r in report.rows] == [repr(v) for v in expected]
+
+
 # heavy-tailed pairs whose dense head is capped at DENSE_MAX entries, which
 # the grid above never reaches, pinned bit for bit
 TV_CAPPED_PINNED = [
@@ -595,12 +617,14 @@ def test_blocked_head_sum_equals_one_call_pmf_sum(spec, length):
     # block and the leaf size, and split into leaves of unequal length.
     # Close scales spread the mass over the whole head, so every leaf counts;
     # far scales mix large and small terms, whose sum a split moved by a few
-    # entries rounds differently
-    for s_lo in (length / 8, 1.0):
-        law1, law2 = lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, length / 6)
+    # entries rounds differently.  Both partners share one walk of the head
+    s_hi, s_los = length / 6, [length / 8, 1.0]
+    got = _head_sums(spec, s_hi, s_los, length - 1)
+    assert got.shape == (len(s_los),)
+    for s_lo, val in zip(s_los, got):
+        law1, law2 = lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, s_hi)
         oracle = np.float64(head_sum(law1, law2, length - 1))
-        got = np.float64(_head_sum(law1, law2, length - 1))
-        assert got.view(np.int64) == oracle.view(np.int64), s_lo
+        assert np.float64(val).view(np.int64) == oracle.view(np.int64), s_lo
 
 
 def _traced_peak_mb(fn):
@@ -621,7 +645,8 @@ def test_tv_capped_head_memory_stays_in_blocks():
 
 def test_tv_bound_check_on_benchmark_grid_holds_one_leaf():
     # the tv-check grid of the mixing-check benchmark: HC(0,1) and HC(4,1)
-    # at scale 200 have heads of 1.27e6 entries, 9.7 MB as one buffer
+    # at scale 200 have heads of 1.27e6 entries, 9.7 MB as one buffer; the
+    # five partners of scale 200 share one leaf of its pmf at a time
     specs = [EXP, HC0, HC4, lc.ChiSquare(6)]
     for spec in specs:
         lc.compute_constants(spec)  # the cached constants, outside the trace
