@@ -7,6 +7,8 @@ grid sample of an Ornstein-Uhlenbeck path.  Centering uses the moving-window
 mean, so serial dependence up to the multiplier range survives into the
 bootstrap distribution.  Quantiles of the bootstrap draws give confidence
 intervals for the projection target with half-width ``u* / (sqrt(n) ln n)``.
+``t_star`` filters the normals into paths; ``coverage_experiment`` filters the
+summands backwards instead (the adjoint), one O(n) pass per cell and loop.
 """
 from __future__ import annotations
 
@@ -88,13 +90,10 @@ def _check_l_n(l_n: float) -> None:
         raise ConfigError(f"l_n must be positive and finite, got {l_n}")
 
 
-# Elements in one block of multiplier rows (8 MB of float64), so the draws of
-# ``t_star`` and ``coverage_experiment`` take O(n) memory whatever B is.  A
-# block has at least 16 rows, so past n = 2**16 it holds 16 n elements
-# (12.8 MB at n = 1e5).  ``_ar1_filter`` runs ``lfilter`` on row slices of at
-# most a quarter block, whose output it copies back into the block, so a
-# block of normals and one slice (14.4 MB at n = 1e5) are all that a draw
-# holds.
+# Elements in one block of normal rows (8 MB of float64; at least 16 rows, so
+# 12.8 MB at n = 1e5): the draws take O(n) memory whatever B is.  ``t_star``
+# filters a block in place, in ``lfilter`` slices of at most a quarter block,
+# so it holds a block and one slice; a coverage loop filters no block.
 BLOCK_ELEMENTS = 2**20
 SLICE_ELEMENTS = BLOCK_ELEMENTS // 4
 
@@ -104,74 +103,65 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
 
     The first value is standard normal and each step applies
     ``W_t = exp(-1/l_n) W_{t-1} + sqrt(1 - exp(-2/l_n)) eps_t``; every
-    marginal is standard normal.  Shape (n,) or (size, n).  This draws every
-    path in one call; the bootstrap statistics stream the same paths in row
-    blocks (``_draws``).
+    marginal is standard normal.  Shape (n,) or (size, n).
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     _check_l_n(l_n)
     eps = rng.standard_normal((1 if size is None else size, n))
-    w = _ar1_filter(eps, l_n, eps)
+    w = _ar1_filter(eps, l_n)
     return w[0] if size is None else w
 
 
-def _ar1_filter(eps: np.ndarray, l_n: float, v: np.ndarray) -> np.ndarray:
-    """Turn standard normal rows into AR(1) paths with covariance exp(-|s-t|/l_n).
+def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
+    """Filter standard normal rows in place into ``multipliers`` paths; returns ``eps``.
 
-    ``v`` receives the filter input, column 0 of ``eps`` as the unit-variance
-    start and the scaled innovations after it, and is then filtered in place
-    and returned: ``lfilter`` runs on row slices of at most ``SLICE_ELEMENTS``
-    elements and each output is written back over its slice.  ``lfilter``
-    works row by row, so the slicing keeps every row's bits.  ``v`` may be
-    ``eps`` itself, which then holds the paths instead of the normals.
+    ``lfilter`` works row by row, so its row slices of at most
+    ``SLICE_ELEMENTS`` elements keep every row's bits.
     """
     phi = math.exp(-1.0 / l_n)
     start = eps[:, 0].copy()  # scaling every column is faster than a strided eps[:, 1:]
-    np.multiply(math.sqrt(-math.expm1(-2.0 / l_n)), eps, out=v)
-    v[:, 0] = start
-    rows = max(1, SLICE_ELEMENTS // v.shape[1])
-    for r0 in range(0, len(v), rows):
-        v[r0:r0 + rows] = lfilter([1.0], [1.0, -phi], v[r0:r0 + rows], axis=1)
-    return v
+    eps *= math.sqrt(-math.expm1(-2.0 / l_n))
+    eps[:, 0] = start
+    rows = max(1, SLICE_ELEMENTS // eps.shape[1])
+    for r0 in range(0, len(eps), rows):
+        eps[r0:r0 + rows] = lfilter([1.0], [1.0, -phi], eps[r0:r0 + rows], axis=1)
+    return eps
 
 
-def _draws(n: int, B: int, l_ns: Sequence[float]):
-    """Kernel ``draw(rng, ds)``: ``w @ d`` for B multiplier paths w of length n.
+def _block_buffer(n: int, B: int) -> np.ndarray:
+    # 16-row multiples: gemv keeps a row's bits when each of up to 4 threads gets 4k rows
+    return np.empty((min(max(16, BLOCK_ELEMENTS // n // 16 * 16), B), n))
 
-    The result has shape (len(l_ns), len(ds), B); every l_n filters the same
-    normals.  Rows are drawn in consecutive blocks of about ``BLOCK_ELEMENTS``
-    elements and equal ``multipliers(n, l_n, rng, size=B) @ d`` bit for bit:
-    the stream runs on across ``standard_normal`` calls, ``lfilter`` works
-    row by row, and BLAS gemv gives a row the same bits in any block whose
-    per-thread share of rows is a multiple of 4 (16-row multiples serve up to
-    4 threads; a short last block matches wherever the one (B, n) product is
-    itself independent of the thread count).  The paths of an l_n replace
-    their filter input in place (``_ar1_filter``): the last l_n filters the
-    normals block itself, so ``t_star`` holds one block of normals and one
-    ``lfilter`` slice; only the earlier l_n of a coverage loop fill a second
-    block with their scaled copy.  The buffers are made once per kernel, so
-    the loops of a coverage chunk reuse their pages; fresh arrays per loop
-    went back to the OS on free and cost about 1900 page faults per loop at
-    n = B = 500.
+
+def _normal_blocks(rng: np.random.Generator, B: int, buf: np.ndarray):
+    """Yield the normals of ``rng.standard_normal((B, n))`` in row blocks, each in ``buf``."""
+    for r0 in range(0, B, len(buf)):
+        eps = buf[:min(len(buf), B - r0)]
+        rng.standard_normal(out=eps)
+        yield eps
+
+
+def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator) -> np.ndarray:
+    """``multipliers(len(d), l_n, rng, size=B) @ d`` bit for bit, one block of paths at a time.
+
+    A short last block matches wherever the one (B, n) product is itself
+    independent of the BLAS thread count.
     """
-    rows = max(16, BLOCK_ELEMENTS // n // 16 * 16)
-    eps_buf = np.empty((min(rows, B), n))
-    v_buf = np.empty_like(eps_buf) if len(l_ns) > 1 else None
-    last = len(l_ns) - 1
+    return np.concatenate([_ar1_filter(eps, l_n) @ d
+                           for eps in _normal_blocks(rng, B, _block_buffer(len(d), B))])
 
-    def draw(rng: np.random.Generator, ds: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.empty((len(l_ns), len(ds), B))
-        for r0 in range(0, B, rows):
-            eps = eps_buf[:min(rows, B - r0)]
-            rng.standard_normal(out=eps)
-            for li, l_n in enumerate(l_ns):
-                w = _ar1_filter(eps, l_n, eps if li == last else v_buf[:len(eps)])
-                for di, d in enumerate(ds):
-                    out[li, di, r0:r0 + len(w)] = w @ d
-        return out
 
-    return draw
+def _adjoint_row(d: np.ndarray, l_n: float) -> np.ndarray:
+    """``g`` with ``eps @ g == _ar1_filter(eps, l_n) @ d`` up to rounding.
+
+    The paths are ``w = L^-1 S eps``, with L the AR(1) recursion and
+    ``S = diag(1, s, ..., s)``, so ``w @ d = eps @ (S L^-T d)``: filter d
+    backwards, ``g_t = d_t + phi g_{t+1}``, and scale entries 1.. by s.
+    """
+    g = lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], d[::-1])[::-1]
+    g[1:] *= math.sqrt(-math.expm1(-2.0 / l_n))
+    return g
 
 
 def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
@@ -184,7 +174,7 @@ def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
            size: int) -> np.ndarray:
     """``size`` bootstrap statistics: weighted, window-centered log counts
     times fresh multiplier paths."""
-    return _draws(fit.n, size, (cfg.l_n,))(rng, (_summands(fit, cfg.N_n),))[0, 0]
+    return _draws(_summands(fit, cfg.N_n), cfg.l_n, size, rng)
 
 
 def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
@@ -256,23 +246,25 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
                     lo: int, hi: int) -> np.ndarray:
     """Covered counts of shape (len(cells), len(alphas)) for loops lo..hi-1.
 
-    Within a loop all cells reuse the same trajectory and the same bootstrap
-    innovations; only the AR(1) filtering (per l_n) and the centering window
-    (per N_n) differ.  This keeps the per-alpha intervals nested exactly.
+    Within a loop every cell reuses the trajectory and the normals of
+    ``t_star``'s stream; a cell's draws are ``eps @ _adjoint_row(d, l_n)``, so
+    one product per block serves all cells and no block is filtered.  Every
+    alpha reads the same draws, which keeps the per-alpha intervals nested.
+    The block buffer is made once per chunk: fresh arrays per loop cost about
+    1900 page faults per loop at n = B = 500.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
-    l_ns = list(dict.fromkeys(l_n for l_n, _ in cells))
-    nns = list(dict.fromkeys(N_n for _, N_n in cells))
-    draw = _draws(n, B, l_ns)
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
+    eps_buf = _block_buffer(n, B)
     for i in range(lo, hi):
         fit = theta_hat(xs[i - lo, 1:])
+        ds = {N_n: _summands(fit, N_n) for N_n in {w for _, w in cells}}
+        g = np.array([_adjoint_row(ds[N_n], l_n) for l_n, N_n in cells])
         rng = _rng.stream(master_seed, _rng.NS_BOOT, i)
-        by_cell = draw(rng, [_summands(fit, N_n) for N_n in nns])
-        for ci, (l_n, N_n) in enumerate(cells):
-            draws = by_cell[l_ns.index(l_n), nns.index(N_n)]
+        draws = np.concatenate([eps @ g.T for eps in _normal_blocks(rng, B, eps_buf)])
+        for ci in range(len(cells)):
             for ai, alpha in enumerate(alphas):
-                ci_obj = _interval_from_draws(fit, draws, alpha)
+                ci_obj = _interval_from_draws(fit, draws[:, ci], alpha)
                 if ci_obj.lower <= theta_bar <= ci_obj.upper:
                     counts[ci, ai] += 1
     return counts
@@ -285,7 +277,8 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     """Fraction of Monte Carlo loops whose interval covers the target.
 
     The target is estimated once per (params, n) from ``theta_bar_loops``
-    independent replicates.  One row per (l_n, N_n, alpha).
+    independent replicates.  One row per (l_n, N_n, alpha).  Loop i's draws
+    equal ``t_star`` on the (master_seed, NS_BOOT, i) stream up to rounding.
     """
     validate(params)
     if mc_loops < 1:

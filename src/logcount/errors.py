@@ -26,3 +26,6 @@ class ExplosionError(NumericError):
         )
         self.t = t
         self.log_sigma = log_sigma
+
+    def __reduce__(self):  # pickle rebuilds from (t, log_sigma), not from the message
+        return type(self), (self.t, self.log_sigma)

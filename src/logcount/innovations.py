@@ -60,8 +60,8 @@ def _log_ratio_factor(s_lo, s_hi):
     Written as ``log1p(x) / x`` with ``x = (s_hi - s_lo) / s_lo`` so that it
     stays accurate as r goes to 1.
     """
-    x = (_as_float_array(s_hi) - s_lo) / s_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = (_as_float_array(s_hi) - s_lo) / s_lo
         return np.where(x > 0, np.log1p(x) / x, 1.0)
 
 
@@ -523,8 +523,9 @@ def _crossing_index(base, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
     near = s_hi - s_lo <= NEAR_GAP * s_lo
     ge = np.empty(k0.shape, dtype=bool)
     lo, hi, k = s_lo[~near], s_hi[~near], k0[~near]
-    # survival differences keep full relative precision deep in the tail
-    ge[~near] = base.sf(k / hi) - base.sf((k + 1.0) / hi) >= base.sf(k / lo) - base.sf((k + 1.0) / lo)
+    # survival differences keep full relative precision deep in the tail; (k + 1)/lo may be inf
+    with np.errstate(over="ignore"):
+        ge[~near] = base.sf(k / hi) - base.sf((k + 1.0) / hi) >= base.sf(k / lo) - base.sf((k + 1.0) / lo)
     if near.any():
         lo, hi, k = s_lo[near], s_hi[near], k0[near]
         ge[near] = _gap_mass(base, lo, hi, k) >= _gap_mass(base, lo, hi, k + 1.0)

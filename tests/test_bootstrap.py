@@ -84,19 +84,74 @@ def test_t_star_rows_match_one_call_multipliers(n, B):
 
 
 @pytest.mark.parametrize("n, B", [(500, 500), (20_000, 200)])
-def test_coverage_draws_match_one_call_multipliers(n, B):
-    # coverage_experiment's kernel: two l_n filter the same normals, the last
-    # one in place, and every (l_n, d) row keeps the bits of one (B, n) product
-    fit = lc.theta_hat(lc.simulate(PARAMS, n, 13).counts())
-    x = fit.series_transformed
-    ds = [lc.trend_weights(n) * (x - lc.nn_means(x, N_n)) for N_n in (30, 65)]
-    l_ns = (10.0, 20.0)
-    got = bootstrap._draws(n, B, l_ns)(np.random.default_rng(14), ds)
-    for li, l_n in enumerate(l_ns):
-        w = lc.multipliers(n, l_n, np.random.default_rng(14), size=B)
-        for di, d in enumerate(ds):
-            want = w @ d
-            assert np.array_equal(got[li, di].view(np.int64), want.view(np.int64))
+def test_coverage_draws_match_forward_multipliers(monkeypatch, n, B):
+    # each cell's draws, the normals times the adjoint-filtered summands, are
+    # the forward w @ d of the same normals up to rounding; at n = 20000 the
+    # 200 rows take several blocks
+    seen = []
+    interval = bootstrap._interval_from_draws
+
+    def capture(fit, draws, alpha):
+        seen.append((fit, draws.copy()))
+        return interval(fit, draws, alpha)
+
+    monkeypatch.setattr(bootstrap, "_interval_from_draws", capture)
+    cells = ((10.0, 30), (20.0, 65))
+    bootstrap._coverage_chunk(PARAMS, n, cells, (0.1,), B, 2.4, 13, 0, 2)
+    assert len(seen) == 2 * len(cells)
+    for k, (fit, got) in enumerate(seen):
+        i, (l_n, N_n) = k // len(cells), cells[k % len(cells)]
+        x = fit.series_transformed
+        d = lc.trend_weights(n) * (x - lc.nn_means(x, N_n))
+        rng = bootstrap._rng.stream(13, bootstrap._rng.NS_BOOT, i)
+        want = lc.multipliers(n, l_n, rng, size=B) @ d
+        sd = math.sqrt(lc.t_star_variance(fit, lc.BootstrapConfig(l_n, N_n, B, 0.1)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * sd
+
+
+@pytest.mark.parametrize("n, l_n, N_n", [(500, 10.0, 65), (501, 40.0, 5), (20_000, 0.3, 1)])
+def test_adjoint_row_norm_equals_t_star_variance(n, l_n, N_n):
+    # g @ g = d' L^-1 S S L^-T d = d' Sigma d, the exact conditional variance
+    fit = lc.theta_hat(lc.simulate(PARAMS, n, n).counts())
+    cfg = lc.BootstrapConfig(l_n=l_n, N_n=N_n, B=10, alpha=0.1)
+    g = bootstrap._adjoint_row(bootstrap._summands(fit, N_n), l_n)
+    assert g @ g == pytest.approx(lc.t_star_variance(fit, cfg), rel=1e-12)
+
+
+# covered counts of the forward kernel (every l_n filtering the normals),
+# recorded before the coverage loops switched to the adjoint rows
+COVERAGE_PINS = [
+    (EXP, 2.0, 120, [(8.0, 20), (3.0, 10)], [0.1, 0.05], 150, 300, 99, 2000, [130, 136, 125, 135]),
+    (lc.HalfCauchy(0.0, 1.0), 2.0, 200, [(10.0, 40), (20.0, 40)], [0.1, 0.2], 120, 250, 7, 2000,
+     [110, 99, 107, 96]),
+    (EXP, 2.0, 500, [(10.0, 65), (2.0, 5)], [0.1], 60, 500, 2024, 1000, [55, 47]),
+    (EXP, 0.5, 5000, [(10.0, 30), (20.0, 65)], [0.1, 0.3], 24, 300, 5, 64, [18, 12, 18, 12]),
+]
+
+
+@pytest.mark.parametrize("law, c, n, cells, alphas, loops, B, seed, target_loops, covered",
+                         COVERAGE_PINS)
+def test_coverage_fractions_keep_forward_kernel_values(law, c, n, cells, alphas, loops, B, seed,
+                                                       target_loops, covered):
+    params = lc.ModelParams(a=0.1, b=0.1, c=c, innovation=law)
+    rows = lc.coverage_experiment(params, n, cells=cells, alphas=alphas, mc_loops=loops, B=B,
+                                  master_seed=seed, theta_bar_loops=target_loops)
+    assert [r.coverage for r in rows] == [k / loops for k in covered]
+
+
+def test_coverage_chunk_holds_one_normals_block():
+    # the cells share one block of normals and filter no copy of it: the
+    # forward kernel held a second block for the first l_n and an lfilter slice
+    n, B = 20_000, 200
+    rows = len(bootstrap._block_buffer(n, B))
+    assert rows < B
+    tracemalloc.start()
+    try:
+        bootstrap._coverage_chunk(PARAMS, n, ((10.0, 30), (20.0, 65)), (0.1,), B, 2.4, 3, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rows * n * 8
 
 
 def _same_bits(a, b):
@@ -120,10 +175,10 @@ def test_draws_match_one_lfilter_call(n, B):
         assert _same_bits(lc.multipliers(n, l_n, np.random.default_rng(15), size=B), w[l_n])
     assert _same_bits(lc.multipliers(n, 10.0, np.random.default_rng(15)), w[10.0][0])
     ds = [np.random.default_rng(16 + i).standard_normal(n) for i in range(2)]
-    got = bootstrap._draws(n, B, l_ns)(np.random.default_rng(15), ds)
-    for li, l_n in enumerate(l_ns):
-        for di, d in enumerate(ds):
-            assert _same_bits(got[li, di], products(w[l_n], d))
+    for l_n in l_ns:
+        for d in ds:
+            got = bootstrap._draws(d, l_n, B, np.random.default_rng(15))
+            assert _same_bits(got, products(w[l_n], d))
     if n >= 2:  # a trend fit needs two observations
         fit = lc.theta_hat(np.random.default_rng(17).poisson(3.0, n))
         cfg = lc.BootstrapConfig(l_n=20.0, N_n=30, B=B, alpha=0.1)

@@ -74,6 +74,21 @@ def test_mc_boxplot_summary_prints_plain_floats(tmp_path):
     assert float(fields["q1"]) <= float(fields["median"]) <= float(fields["q3"])
 
 
+def test_explosion_in_a_pool_worker_exits_4_with_the_inline_message(tmp_path, capsys):
+    # the worker's ExplosionError is pickled back to the parent; one that
+    # failed to unpickle broke the pool and exited 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {**MODEL, "c": 100}, "n": [300], "replicates": 1024,
+                               "theta_bar_loops": 1024}))
+    messages = []
+    for threads in ("1", "2"):
+        code = cli.main(["mc-boxplot", "--config", str(cfg), "--threads", threads])
+        messages.append(capsys.readouterr().err)
+        assert code == 4
+    assert messages[0] == messages[1]
+    assert "exploded at t=271" in messages[0]
+
+
 def test_column_formatter_follows_fmt():
     floats = [0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), float("inf"),
               float("-inf"), float("nan"), 5e-324, 1e16, 1e15 + 0.5, 0.1, -2.5, 1 / 3, 7.0]

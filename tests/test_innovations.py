@@ -490,6 +490,17 @@ def test_tv_tiny_scale_overflows_to_its_limit_without_warning():
     assert lc.tv_distance(law1, law2) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("spec, grid, tv", [(EXP, [1e-300, 1, 1e300], 1.0),
+                                            (HC0, [5e-324, 1], 0.49999999999999994)])
+def test_tv_bound_check_at_far_apart_scales_does_not_warn(spec, grid, tv):
+    # the scale ratio overflows to inf in the crossing, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lc.tv_bound_check(spec, grid)
+    far = [row.tv for row in report.rows if (row.sigma, row.sigma_prime) == (grid[0], grid[-1])]
+    assert far == [tv]
+
+
 def test_tv_symmetric():
     a = lc.DiscretizedLaw(HN_UNIT, 1.3)
     b = lc.DiscretizedLaw(HN_UNIT, 4.1)

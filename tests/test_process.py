@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ def test_explosion_guard():
     with pytest.raises(ExplosionError) as err:
         lc.simulate(params, 50, 1)
     assert (err.value.t, err.value.log_sigma) == (2, 760.0)
+
+
+def test_explosion_error_round_trips_through_pickle():
+    # a pool worker's exception reaches the parent pickled
+    err = ExplosionError(271, -700.125)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ExplosionError
+    assert (back.t, back.log_sigma, str(back)) == (271, -700.125, str(err))
 
 
 @pytest.mark.parametrize("seed", range(4))
