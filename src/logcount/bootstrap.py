@@ -7,8 +7,8 @@ grid sample of an Ornstein-Uhlenbeck path.  Centering uses the moving-window
 mean, so serial dependence up to the multiplier range survives into the
 bootstrap distribution.  Quantiles of the bootstrap draws give confidence
 intervals for the projection target with half-width ``u* / (sqrt(n) ln n)``.
-``t_star`` filters the normals into paths; ``coverage_experiment`` filters the
-summands backwards instead (the adjoint), one O(n) pass per cell and loop.
+``t_star`` filters the normals into paths, ``coverage_experiment`` the summands
+backwards (the adjoint), each by a ``dgtsv`` solve with ``lfilter``'s bits.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgtsv
 
 from . import rng as _rng
 from .errors import ConfigError
@@ -92,10 +92,8 @@ def _check_l_n(l_n: float) -> None:
 
 # Elements in one block of normal rows (8 MB of float64; at least 16 rows, so
 # 12.8 MB at n = 1e5): the draws take O(n) memory whatever B is.  ``t_star``
-# filters a block in place, in ``lfilter`` slices of at most a quarter block,
-# so it holds a block and one slice; a coverage loop filters no block.
+# filters a block in place, so it holds one block; a coverage loop filters none.
 BLOCK_ELEMENTS = 2**20
-SLICE_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
 def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int] = None):
@@ -113,20 +111,27 @@ def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int
     return w[0] if size is None else w
 
 
-def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
-    """Filter standard normal rows in place into ``multipliers`` paths; returns ``eps``.
+def _ar1_solve(v: np.ndarray, l_n: float) -> np.ndarray:
+    """``v[..., t] += phi v[..., t-1]``, ``phi = exp(-1/l_n)``, in place on C-contiguous rows.
 
-    ``lfilter`` works row by row, so its row slices of at most
-    ``SLICE_ELEMENTS`` elements keep every row's bits.
+    ``dgtsv`` on ``v.T`` (the rows as columns) with unit diagonal and ``-phi`` below never
+    pivots; it gives ``lfilter([1], [1, -phi], v)``'s bits up to the sign of a zero.
     """
-    phi = math.exp(-1.0 / l_n)
+    n, b = v.shape[-1], v.T
+    if n > 1:  # dgtsv rejects an empty off-diagonal
+        x, info = dgtsv(np.full(n - 1, -math.exp(-1.0 / l_n)), np.ones(n), np.zeros(n - 1), b,
+                        overwrite_b=1)[3:]
+        if x is not b or info != 0:  # f2py solves a copy, silently, unless b is column-major
+            raise ValueError(f"no in-place AR(1) filter (info {info}): need C-contiguous float64")
+    return v
+
+
+def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
+    """Filter standard normal rows in place into ``multipliers`` paths; returns ``eps``."""
     start = eps[:, 0].copy()  # scaling every column is faster than a strided eps[:, 1:]
     eps *= math.sqrt(-math.expm1(-2.0 / l_n))
     eps[:, 0] = start
-    rows = max(1, SLICE_ELEMENTS // eps.shape[1])
-    for r0 in range(0, len(eps), rows):
-        eps[r0:r0 + rows] = lfilter([1.0], [1.0, -phi], eps[r0:r0 + rows], axis=1)
-    return eps
+    return _ar1_solve(eps, l_n)
 
 
 def _block_buffer(n: int, B: int) -> np.ndarray:
@@ -159,7 +164,7 @@ def _adjoint_row(d: np.ndarray, l_n: float) -> np.ndarray:
     ``S = diag(1, s, ..., s)``, so ``w @ d = eps @ (S L^-T d)``: filter d
     backwards, ``g_t = d_t + phi g_{t+1}``, and scale entries 1.. by s.
     """
-    g = lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], d[::-1])[::-1]
+    g = _ar1_solve(d[::-1].copy(), l_n)[::-1]
     g[1:] *= math.sqrt(-math.expm1(-2.0 / l_n))
     return g
 
@@ -187,7 +192,7 @@ def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
     this is the diagnostic of choice for variance-matching checks.
     """
     d = _summands(fit, cfg.N_n)
-    f = lfilter([1.0], [1.0, -math.exp(-1.0 / cfg.l_n)], d)
+    f = _ar1_solve(d.copy(), cfg.l_n)
     return float(2.0 * (d @ f) - d @ d)
 
 

@@ -176,14 +176,13 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
     broadcast view of one (n+1) row ``c ln t`` that every replicate shares,
     so the loop holds three (R, n+1) matrices: ``ys``, ``sig`` and ``xs``.
 
-    Step t reads element t of views of the (R, n+1) matrices, never copies:
-    at R = 1 the rows, so it steps numpy scalars; at R > 1 the transposes,
-    so it steps one column of replicates.  The loop stores ln(sigma_t) in
-    ``sig``; after it, one check finds the earliest t past LOG_SIGMA_LIMIT
-    (and the first replicate at that t), and one ``np.exp`` turns columns
-    1..n into sigma.  Every transcendental is a numpy ufunc, which gives the
-    same bits on a scalar, a contiguous and a strided array, so a replicate's
-    path never depends on R or on the block it runs in.
+    Step t reads element t of one sequence per (R, n+1) matrix: at R = 1 the
+    rows as lists of floats, cheaper to index and written back after the loop;
+    at R > 1 views of the transposes, one column of replicates.  The loop
+    stores ln(sigma_t) in ``sig``; after it one check finds the earliest t past
+    LOG_SIGMA_LIMIT (and its first replicate), and one ``np.exp`` turns columns
+    1..n into sigma.  Every transcendental is a numpy ufunc, with the same bits
+    on a float and on any array, so a path never depends on R or its block.
     """
     if n < 0:
         raise ConfigError("trajectory length must be >= 0")
@@ -206,7 +205,7 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
     sig[:, 0] = params.sigma0
     xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
     # column 0 keeps sigma0 itself; columns 1..n hold ln(sigma_t) until the exp below
-    log_sig, x, c, y = (a[0] if R == 1 else a.T for a in (sig, xs, cs, ys))
+    log_sig, x, c, y = (a[0].tolist() if R == 1 else a.T for a in (sig, xs, cs, ys))
     sigma = log_sig[0]
     # past an explosion the loop steps inf and nan silently; the check below reports it
     with np.errstate(all="ignore"):
@@ -214,6 +213,8 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
             log_sig[t] = ls = _log_sigma(params, sigma, x[t - 1], c[t])
             sigma = np.exp(ls)
             x[t] = np.floor(sigma * y[t])
+    if R == 1:
+        sig[0], xs[0] = log_sig, x
     body = sig[:, 1:]
     # fmax/fmin skip the NaNs that can follow an explosion, as the limit test does
     if (np.fmax.reduce(body, axis=None, initial=-np.inf) > LOG_SIGMA_LIMIT

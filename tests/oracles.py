@@ -15,8 +15,10 @@ No program path calls them; they live here, beside the tests, and not in
   term ``n ln(n)^2``, which the trend weights rest on, and
 * ``fmt``, the text of one CSV cell, the scalar reference of
   ``cli._fmt_column``, and
-* ``ar1_paths``, the AR(1) multiplier paths from one ``lfilter`` call on a
-  copy of the normals, the reference of ``bootstrap._ar1_filter``,
+* ``ar1_recursion``, the recursion ``y_t = v_t + phi y_{t-1}`` as one
+  ``scipy.signal.lfilter`` call, the reference of ``bootstrap._ar1_solve``,
+* ``ar1_paths``, the AR(1) multiplier paths from one ``ar1_recursion`` call
+  on a copy of the normals, the reference of ``bootstrap._ar1_filter``,
 * ``head_sum``, the dense TV head of one pair as one buffer of pmf
   differences summed by one numpy call, the reference of each partner's sum
   in ``innovations._head_sums``, and
@@ -140,6 +142,11 @@ def fmt(v) -> str:
     return repr(f)
 
 
+def ar1_recursion(v: np.ndarray, l_n: float) -> np.ndarray:
+    """``y_t = v_t + phi y_{t-1}`` along the last axis, ``phi = exp(-1/l_n)``, in a new array."""
+    return lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], v, axis=-1)
+
+
 def ar1_paths(eps: np.ndarray, l_n: float) -> np.ndarray:
     """AR(1) paths with covariance exp(-|s-t|/l_n) from standard normal rows.
 
@@ -150,7 +157,7 @@ def ar1_paths(eps: np.ndarray, l_n: float) -> np.ndarray:
     """
     v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
     v[:, 0] = eps[:, 0]
-    return lfilter([1.0], [1.0, -math.exp(-1.0 / l_n)], v, axis=1)
+    return ar1_recursion(v, l_n)
 
 
 def head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:

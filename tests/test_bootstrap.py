@@ -8,7 +8,7 @@ from scipy import stats
 import logcount as lc
 from logcount import bootstrap
 from logcount.errors import ConfigError
-from oracles import ar1_paths
+from oracles import ar1_paths, ar1_recursion
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -54,6 +54,54 @@ def test_multiplier_covariance_matrix_spd():
     cov = np.exp(-np.abs(np.subtract.outer(t, t)) / l_n)
     assert np.allclose(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > 0
+
+
+# ---------------------------------------------------------------------------
+# the AR(1) filter: one in-place dgtsv solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("l_n", [1e-3, 0.1, 0.5, 1.0, 3.7, 20.0, 1e3, 1e8, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 20_001])
+def test_ar1_solve_keeps_lfilter_bits(l_n, n):
+    # phi runs from exp(-1000) = 0 to 1 - 1e-300 = 1; the solve rounds each
+    # step as lfilter does, on normals, subnormals, exact zeros and the
+    # reversed 1-D rows of _adjoint_row.  A -0.0 in the input can come out
+    # with the other sign, which no dot product of the draws carries.
+    for rows in (1, 3, 16):
+        eps = np.random.default_rng(n + rows).standard_normal((rows, n))
+        zeros = eps.copy()
+        zeros[:, ::3] = 0.0
+        signed = zeros.copy()
+        signed[:, 1::5] = -0.0
+        for v in (eps, eps * 1e-310, zeros, np.zeros((rows, n)), zeros[0, ::-1]):
+            assert _same_bits(bootstrap._ar1_solve(v.copy(), l_n), ar1_recursion(v, l_n))
+        for v in (signed, signed[0, ::-1]):
+            assert _same_bits(bootstrap._ar1_solve(v.copy(), l_n) + 0.0,
+                              ar1_recursion(v, l_n) + 0.0)
+
+
+@pytest.mark.parametrize("n, l_n, N_n", [(2, 1e-3, 1), (17, 3.7, 2), (500, 20.0, 65),
+                                         (20_001, 1e300, 30)])
+def test_adjoint_row_and_t_star_variance_keep_lfilter_bits(n, l_n, N_n):
+    fit = lc.theta_hat(lc.simulate(PARAMS, n, n).counts())
+    d = bootstrap._summands(fit, N_n)
+    g = ar1_recursion(d[::-1], l_n)[::-1]
+    g[1:] *= math.sqrt(-math.expm1(-2.0 / l_n))
+    assert _same_bits(bootstrap._adjoint_row(d, l_n), g)
+    cfg = lc.BootstrapConfig(l_n=l_n, N_n=N_n, B=10, alpha=0.1)
+    assert _same_bits(np.float64(lc.t_star_variance(fit, cfg)),
+                      np.float64(2.0 * (d @ ar1_recursion(d, l_n)) - d @ d))
+
+
+def test_ar1_solve_rejects_what_it_cannot_filter_in_place():
+    # f2py hands dgtsv a copy of an array that is not column-major as seen
+    # through .T, and would leave the input unfiltered without a word
+    v = np.random.default_rng(0).standard_normal((4, 10))
+    for bad in (v[:, ::2], v[::2], v.T, np.asfortranarray(v), v[0, ::-1], v.astype(np.float32)):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="need C-contiguous float64"):
+            bootstrap._ar1_solve(bad, 5.0)
+        assert _same_bits(np.asarray(bad, dtype=float), np.asarray(before, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +188,8 @@ def test_coverage_fractions_keep_forward_kernel_values(law, c, n, cells, alphas,
 
 
 def test_coverage_chunk_holds_one_normals_block():
-    # the cells share one block of normals and filter no copy of it: the
-    # forward kernel held a second block for the first l_n and an lfilter slice
+    # the cells share one block of normals and filter none of it: a second
+    # block, or a filtered copy of one, would break the bound
     n, B = 20_000, 200
     rows = len(bootstrap._block_buffer(n, B))
     assert rows < B
@@ -160,10 +208,10 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("n, B", [(20_000, 200), (100_000, 20), (1, 5), (2, 3)])
 def test_draws_match_one_lfilter_call(n, B):
-    # the in-place filter runs lfilter on row slices of a block; 20000 x 200
-    # and 100000 x 20 cross slice boundaries, the first with a short last
-    # slice.  The reference products take the kernel's row blocks, so a row's
-    # bits do not hang on how BLAS splits a 20-row gemv between threads.
+    # the in-place filter solves one row block at a time; 20000 x 200 and
+    # 100000 x 20 end on a short block.  The reference products take the
+    # kernel's row blocks, so a row's bits do not hang on how BLAS splits a
+    # 20-row gemv between threads.
     l_ns = (10.0, 20.0)
     w = {l_n: ar1_paths(np.random.default_rng(15).standard_normal((B, n)), l_n) for l_n in l_ns}
     rows = max(16, bootstrap.BLOCK_ELEMENTS // n // 16 * 16)
@@ -280,8 +328,8 @@ def test_interval_memory_does_not_grow_with_b():
 
 
 def test_interval_holds_one_row_block():
-    # the normals block, filtered in place, and one lfilter slice of at most
-    # a quarter block: no second block beside it
+    # the normals block, filtered in place by one solve: no second block or
+    # filtered copy beside it
     n = 20_000
     x = np.random.default_rng(2).poisson(3.0 + np.log1p(np.arange(n)))
     rows = max(16, bootstrap.BLOCK_ELEMENTS // n // 16 * 16)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +383,13 @@ def test_ci_outside_the_regime_warns_through_the_cli(tmp_path, files):
         "B=50 bootstrap draws is low; quantiles will be coarse",
         "l_n*N_n*ln(n)^2/n = 3.86 >= 1: centering bias may dominate",
     ]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # every console-script run and worker start pays for what logcount.cli
+    # imports, and scipy.signal alone cost about 0.3 s and 25 MB of it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, logcount.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "False"
