@@ -13,24 +13,16 @@ from .bootstrap import (
     CoverageCell,
     confidence_interval,
     coverage_experiment,
-    multipliers,
     t_star,
     t_star_variance,
 )
-from .coupling import (
-    CoupledRun,
-    CouplingExperimentResult,
-    coupled_draw,
-    estimate_beta,
-    run_coupled_chains,
-)
+from .coupling import CouplingExperimentResult, estimate_beta
 from .errors import ConfigError, DataError, ExplosionError, NumericError
 from .estimation import (
     TargetTheta,
     TrendFit,
     asymptotic_sigma2,
     ensemble_theta_hats,
-    mean_log_curve,
     nn_means,
     t_statistic,
     theta_bar_mc,
@@ -48,7 +40,6 @@ from .innovations import (
     compute_constants,
     innovation_from_json,
     tv_bound_check,
-    tv_distance,
 )
 from .process import (
     ExogenousSpec,
@@ -67,7 +58,6 @@ __all__ = [
     "ChiSquare",
     "ConfidenceInterval",
     "ConfigError",
-    "CoupledRun",
     "CouplingExperimentResult",
     "CoverageCell",
     "DataError",
@@ -87,15 +77,11 @@ __all__ = [
     "asymptotic_sigma2",
     "compute_constants",
     "confidence_interval",
-    "coupled_draw",
     "coverage_experiment",
     "ensemble_theta_hats",
     "estimate_beta",
     "innovation_from_json",
-    "mean_log_curve",
-    "multipliers",
     "nn_means",
-    "run_coupled_chains",
     "simulate",
     "t_star",
     "t_star_variance",
@@ -106,6 +92,5 @@ __all__ = [
     "theta_hat",
     "trend_weights",
     "tv_bound_check",
-    "tv_distance",
     "validate",
 ]

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -96,21 +96,6 @@ def _check_l_n(l_n: float) -> None:
 BLOCK_ELEMENTS = 2**20
 
 
-def multipliers(n: int, l_n: float, rng: np.random.Generator, size: Optional[int] = None):
-    """AR(1) Gaussian multiplier paths with covariance exp(-|s-t|/l_n).
-
-    The first value is standard normal and each step applies
-    ``W_t = exp(-1/l_n) W_{t-1} + sqrt(1 - exp(-2/l_n)) eps_t``; every
-    marginal is standard normal.  Shape (n,) or (size, n).
-    """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    _check_l_n(l_n)
-    eps = rng.standard_normal((1 if size is None else size, n))
-    w = _ar1_filter(eps, l_n)
-    return w[0] if size is None else w
-
-
 def _ar1_solve(v: np.ndarray, l_n: float) -> np.ndarray:
     """``v[..., t] += phi v[..., t-1]``, ``phi = exp(-1/l_n)``, in place on C-contiguous rows.
 
@@ -127,7 +112,12 @@ def _ar1_solve(v: np.ndarray, l_n: float) -> np.ndarray:
 
 
 def _ar1_filter(eps: np.ndarray, l_n: float) -> np.ndarray:
-    """Filter standard normal rows in place into ``multipliers`` paths; returns ``eps``."""
+    """Filter standard normal rows in place into AR(1) multiplier paths; returns ``eps``.
+
+    Column 0 starts each path at unit variance; each later step applies
+    ``W_t = phi W_{t-1} + sqrt(1 - phi^2) eps_t``, so every marginal is
+    standard normal and the covariance is ``exp(-|s-t|/l_n)``.
+    """
     start = eps[:, 0].copy()  # scaling every column is faster than a strided eps[:, 1:]
     eps *= math.sqrt(-math.expm1(-2.0 / l_n))
     eps[:, 0] = start
@@ -148,7 +138,8 @@ def _normal_blocks(rng: np.random.Generator, B: int, buf: np.ndarray):
 
 
 def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator) -> np.ndarray:
-    """``multipliers(len(d), l_n, rng, size=B) @ d`` bit for bit, one block of paths at a time.
+    """``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d`` bit for bit, one block of
+    paths at a time.
 
     A short last block matches wherever the one (B, n) product is itself
     independent of the BLAS thread count.

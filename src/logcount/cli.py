@@ -352,6 +352,8 @@ def cmd_mc_boxplot(cfg: dict, seed: int, threads: int):
 
 def cmd_mixing(cfg: dict, seed: int, threads: int):
     params = _model_from_config(cfg["model"])
+    if "n_grid" in cfg and "n_max" in cfg:
+        raise ConfigError("mixing config takes 'n_grid' or 'n_max', not both")
     if "n_grid" in cfg:
         n_grid = _cast(lambda v: [_int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
     elif "n_max" in cfg:
@@ -397,6 +399,8 @@ def cmd_coverage(cfg: dict, seed: int, threads: int):
 
 
 def cmd_tv_check(cfg: dict, seed: int, threads: int):
+    if "innovations" in cfg and "innovation" in cfg:
+        raise ConfigError("tv-check config takes 'innovation' or 'innovations', not both")
     if "innovations" in cfg:
         innov_objs = _cast(_array, cfg["innovations"], "'innovations'")
     elif "innovation" in cfg:

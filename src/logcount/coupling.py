@@ -3,20 +3,18 @@
 Two counts with the same innovation but different scales can be drawn from a
 single uniform so that (a) each has its exact marginal law, (b) they coincide
 with probability ``1 - d_TV`` (the maximum possible), and (c) the larger
-scale never produces the smaller count.  Every coupled draw, single or inside
-a chain experiment, goes through ``_scaled_coupled``, which takes the one
-pmf crossing of the two laws from ``innovations._crossing_index`` (built on
-the closed-form crossing of their scaled densities).  Draws at bit-equal
-scales merge at one quantile without that crossing test, and the two
-residual searches of the other draws share one bisection.  The explicit
-pmf-table construction that the tests compare it against lives with them,
-in ``tests/oracles.py``.  Running two feedback chains with
-independent pasts and coupling them from a cut-off time onward turns the
-fraction of replicates whose counts ever differ after a gap into a Monte
-Carlo upper bound on the mixing coefficient, which can then be compared to
-the analytic geometric bound.  The experiment only counts, so it steps
-worker-sized spans of replicates and keeps no paths; one step loop serves it
-and ``run_coupled_chains``, which keeps the paths of one replicate.
+scale never produces the smaller count.  Every coupled draw goes through
+``_scaled_coupled``, which takes the one pmf crossing of the two laws from
+``innovations._crossing_index`` (built on the closed-form crossing of their
+scaled densities).  Draws at bit-equal scales merge at one quantile without
+that crossing test, and the two residual searches of the other draws share
+one bisection.  The explicit pmf-table construction that the tests compare
+it against lives with them, in ``tests/oracles.py``.  Running two feedback
+chains with independent pasts and coupling them from a cut-off time onward
+turns the fraction of replicates whose counts ever differ after a gap into
+a Monte Carlo upper bound on the mixing coefficient, which can then be
+compared to the analytic geometric bound.  The experiment only counts, so
+it steps worker-sized spans of replicates and keeps no paths.
 """
 from __future__ import annotations
 
@@ -27,13 +25,13 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError
-from .innovations import DiscretizedLaw, _crossing_index, _discrete_quantile
+from .innovations import _crossing_index, _discrete_quantile
 from .process import (ModelParams, _check_shape, _evolve, _exo_term, _next_sigma,
                       _theorem1_brace, theorem1_bound, validate)
 
 
 # ---------------------------------------------------------------------------
-# Single coupled draw
+# Coupled draws at two scales
 # ---------------------------------------------------------------------------
 
 def _first_true(lo: np.ndarray, hi: np.ndarray, pred):
@@ -153,39 +151,9 @@ def _scaled_coupled(base, sigma: np.ndarray, sigma_prime: np.ndarray, u: np.ndar
     return x_first, x_second, merged
 
 
-def coupled_draw(law: DiscretizedLaw, law_prime: DiscretizedLaw,
-                 rng: np.random.Generator, size):
-    """Draw ``size`` triples (X, X', merged) from the ordered maximal coupling.
-
-    Marginals are exact, ``P(X = X') = 1 - d_TV``, and the draw of the law
-    with the larger scale is almost surely the larger count.  Every draw goes
-    through ``_scaled_coupled``, whatever the scales or the tail: one
-    crossing test per draw at unequal scales, a closed-form quantile for a
-    merged draw and a capped ``sf`` bisection for each residual one.
-    """
-    if law.base != law_prime.base:
-        raise ConfigError("coupled_draw requires both laws to share the innovation spec")
-    u = rng.random(size)
-    return _scaled_coupled(
-        law.base, np.full(u.shape, law.sigma), np.full(u.shape, law_prime.sigma), u
-    )
-
-
 # ---------------------------------------------------------------------------
 # Coupled chain experiments
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CoupledRun:
-    """One pair of chains: independent up to the cut-off, coupled afterwards."""
-
-    k: int
-    sigma: np.ndarray        # intensities of the first chain, t = 0..k+H
-    sigma_prime: np.ndarray
-    x: np.ndarray
-    x_prime: np.ndarray
-    merged: np.ndarray       # per coupled step t = k+1..k+H, True if X_t == X_t'
-
 
 @dataclass
 class CouplingExperimentResult:
@@ -228,17 +196,13 @@ def _uniform_width(params: ModelParams, k: int, horizon: int) -> int:
 
 
 def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed: int,
-                         lo: int, hi: int, paths: bool = True):
-    """Replicates lo..hi-1 of the pair experiment.
+                         lo: int, hi: int) -> np.ndarray:
+    """Replicates lo..hi-1 of the pair experiment: ``merged`` of shape (hi-lo, horizon),
+    True where the coupled step t = k+1+j drew equal counts.
 
-    Returns ``(merged, sigma, x)``: ``merged`` of shape (hi-lo, horizon) is
-    True where the coupled step t = k+1+j drew equal counts; ``sigma`` and
-    ``x`` of shape (2, hi-lo, k+1+horizon) hold both chains, the first chain
-    at index 0, over t = 0..k+horizon.  With ``paths=False`` they are None
-    and only the current step of each chain is kept.
-
-    Every step is elementwise per replicate, so a replicate's row does not
-    depend on the rows it runs with.
+    Only the current step of each chain is kept.  Every step is elementwise
+    per replicate, so a replicate's row does not depend on the rows it runs
+    with.
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
@@ -247,10 +211,6 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     u = _rng.uniform_rows(master_seed, lo, hi, width)
     off = 2 * (k + 1) + horizon
     uc = u[:, 2 * (k + 1): off]
-    sig = xs = None
-    if paths:
-        sig = np.empty((2, R, k + 1 + horizon))
-        xs = np.empty((2, R, k + 1 + horizon))
 
     def draws(i, width):
         """Chain i's independent-phase columns of ``u``: its k+1 innovations,
@@ -261,8 +221,6 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     def independent(i):
         """Chain i over t = 0..k; returns copies of (sigma_k, X_k), so its path is freed."""
         s_i, x_i, _, _ = _evolve(params, k, R, partial(draws, i))
-        if paths:
-            sig[i, :, :k + 1], xs[i, :, :k + 1] = s_i, x_i
         return s_i[:, k].copy(), x_i[:, k].copy()
 
     (sigma_a, x_a), (sigma_b, x_b) = independent(0), independent(1)
@@ -274,20 +232,7 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
         sigma_a = _next_sigma(params, t, sigma_a, x_a, c_t)
         sigma_b = _next_sigma(params, t, sigma_b, x_b, c_t)
         x_a, x_b, merged[:, j] = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
-        if paths:
-            sig[0, :, t], sig[1, :, t] = sigma_a, sigma_b
-            xs[0, :, t], xs[1, :, t] = x_a, x_b
-    return merged, sig, xs
-
-
-def run_coupled_chains(params: ModelParams, k: int, n_max: int, truncation: int,
-                       master_seed: int, replicate: int = 0) -> CoupledRun:
-    """One replicate of the pair experiment with full paths retained."""
-    validate(params)
-    merged, sig, xs = _coupled_chain_block(
-        params, k, n_max + truncation, master_seed, replicate, replicate + 1)
-    return CoupledRun(k=k, sigma=sig[0, 0], sigma_prime=sig[1, 0],
-                      x=xs[0, 0], x_prime=xs[1, 0], merged=merged[0])
+    return merged
 
 
 def _beta_chunk(params: ModelParams, k: int, n_max: int, truncation: int,
@@ -295,9 +240,7 @@ def _beta_chunk(params: ModelParams, k: int, n_max: int, truncation: int,
     """Per gap n = 1..n_max, the int64 count of replicates lo..hi-1 whose
     chains differ somewhere in [k+n, k+n+truncation]; any split of the
     replicates into blocks sums to the same counts."""
-    merged, _, _ = _coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi,
-                                        paths=False)
-    diff = ~merged
+    diff = ~_coupled_chain_block(params, k, n_max + truncation, master_seed, lo, hi)
     windows = np.lib.stride_tricks.sliding_window_view(diff, truncation + 1, axis=1)
     return windows.any(axis=2).sum(axis=0).astype(np.int64)
 

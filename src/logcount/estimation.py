@@ -53,6 +53,12 @@ def _check_counts(x) -> np.ndarray:
     return x
 
 
+def _log_time(n: int) -> tuple[np.ndarray, float]:
+    """The regressor ``ln(t)``, t = 1..n, and its squared norm ``sum_t ln(t)^2``."""
+    logt = np.log(np.arange(1, n + 1, dtype=float))
+    return logt, float(logt @ logt)
+
+
 def theta_hat(x) -> TrendFit:
     """Fit the trend exponent: sum ln(t) ln(X_t+1) / sum ln(t)^2.
 
@@ -62,9 +68,8 @@ def theta_hat(x) -> TrendFit:
     n = len(x)
     if n < 2:
         raise ConfigError(f"need at least 2 observations to fit a trend, got {n}")
-    logt = np.log(np.arange(1, n + 1, dtype=float))
+    logt, denom = _log_time(n)
     transformed = np.log1p(x)
-    denom = float(logt @ logt)
     est = float(logt @ transformed) / denom
     return TrendFit(theta_hat=est, n=n, weights_denominator=denom,
                     series_transformed=transformed)
@@ -79,8 +84,8 @@ def trend_weights(n: int) -> np.ndarray:
     """w_t = sqrt(n) ln(n) ln(t) / sum_s ln(s)^2 for t = 1..n."""
     if n < 2:
         raise ConfigError("weights need n >= 2")
-    logt = np.log(np.arange(1, n + 1, dtype=float))
-    return math.sqrt(n) * math.log(n) * logt / float(logt @ logt)
+    logt, denom = _log_time(n)
+    return math.sqrt(n) * math.log(n) * logt / denom
 
 
 def asymptotic_sigma2(params: ModelParams,
@@ -111,8 +116,8 @@ def nn_means(transformed: np.ndarray, window: int) -> np.ndarray:
 
 def _theta_chunk(params: ModelParams, n: int, master_seed: int, lo: int, hi: int) -> np.ndarray:
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
-    logt = np.log(np.arange(1, n + 1, dtype=float))
-    return np.log1p(xs[:, 1:]) @ logt / float(logt @ logt)
+    logt, denom = _log_time(n)
+    return np.log1p(xs[:, 1:]) @ logt / denom
 
 
 def ensemble_theta_hats(params: ModelParams, n: int, replicates: int, master_seed: int,
@@ -140,38 +145,3 @@ def theta_bar_mc(params: ModelParams, n: int, mc_loops: int, master_seed: int,
     thetas = ensemble_theta_hats(params, n, mc_loops, master_seed, threads)
     se = float(thetas.std(ddof=1) / math.sqrt(mc_loops)) if mc_loops > 1 else 0.0
     return TargetTheta(theta_bar=float(thetas.mean()), mc_loops=mc_loops, stderr=se)
-
-
-def _curve_chunk(params: ModelParams, n: int, master_seed: int, lo: int, hi: int):
-    _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
-    l = np.log1p(xs)
-    s1 = l.sum(axis=0)
-    s2 = (l * l).sum(axis=0)
-    s12 = (l[:, :-1] * l[:, 1:]).sum(axis=0)
-    return s1, s2, s12
-
-
-def mean_log_curve(params: ModelParams, n: int, replicates: int, master_seed: int):
-    """Per-time Monte Carlo means of ln(X_t+1) with paired-difference errors.
-
-    Returns (means, se_means, se_diffs) where ``se_diffs[t]`` is the standard
-    error of ``mean[t+1] - mean[t]`` computed from the per-replicate paired
-    differences, the right yardstick for monotonicity checks.
-    """
-    validate(params)
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    worker = partial(_curve_chunk, params, n, master_seed)
-    parts = _rng.run_chunks(worker, replicates)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    s12 = sum(p[2] for p in parts)
-    R = replicates
-    means = s1 / R
-    var = np.maximum(s2 / R - means**2, 0.0) * R / max(R - 1, 1)
-    se_means = np.sqrt(var / R)
-    # Var(l_{t+1} - l_t) = Var(l_{t+1}) + Var(l_t) - 2 Cov
-    cov = (s12 / R - means[:-1] * means[1:]) * R / max(R - 1, 1)
-    var_diff = np.maximum(var[1:] + var[:-1] - 2.0 * cov, 0.0)
-    se_diffs = np.sqrt(var_diff / R)
-    return means, se_means, se_diffs

@@ -627,21 +627,6 @@ def _tv_sums(base: InnovationSpec, s_hi: float, s_los, head: tuple[int, bool]) -
     return tvs
 
 
-def tv_distance(law1: DiscretizedLaw, law2: DiscretizedLaw) -> float:
-    """Total variation distance ``0.5 * sum_k |p1(k) - p2(k)|`` of two count laws.
-
-    Both laws must share the innovation spec.  It is the one-partner call of
-    ``_tv_sums``, which ``tv_bound_check`` calls once per larger scale, so
-    both give a pair the same bits.
-    """
-    if law1.base != law2.base:
-        raise ConfigError("tv_distance requires both laws to share the innovation spec")
-    if law1.sigma == law2.sigma:
-        return 0.0
-    s_lo, s_hi = sorted((law1.sigma, law2.sigma))
-    return _tv_sums(law1.base, s_hi, [s_lo], _dense_head(law1.base, s_hi))[0]
-
-
 @dataclass(frozen=True)
 class TVBoundRow:
     sigma: float
@@ -668,11 +653,11 @@ def tv_bound_check(spec: InnovationSpec, sigma_grid) -> TVBoundReport:
     with ``i <= j`` is checked, in row order.  The distinct unequal pairs
     are grouped by their larger scale ``s_hi``, and one ``_tv_sums`` call
     per group walks the dense head of the ``s_hi`` law once for all its
-    partners; each tv has the bits of ``tv_distance`` on its pair.  Scales
+    partners; each tv has the bits of a two-scale grid of its pair.  Scales
     are checked, and head lengths taken, in row order first, so an invalid
     scale (ConfigError) or an overflowing support (NumericError) is reported
-    for the same pair as one ``tv_distance`` call per row would.  A
-    violation beyond 1e-9 raises NumericError.
+    for the first row that has one.  A violation beyond 1e-9 raises
+    NumericError.
     """
     grid = [float(s) for s in sigma_grid]
     pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]

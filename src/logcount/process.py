@@ -14,7 +14,7 @@ that decay bound as well as the stationary autocovariances of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
@@ -35,7 +35,8 @@ class ExogenousSpec:
     mean absolute deviation bound M is zero.
 
     kind "iid": an i.i.d. sequence drawn by inverse transform from a named
-    family ("normal": mean/sd, "uniform": mean/half_width).
+    family ("normal": mean/sd, "uniform": mean/half_width).  A field that
+    the kind and family do not read must keep its default.
     """
 
     kind: str = "trend"
@@ -58,6 +59,13 @@ class ExogenousSpec:
                     raise ConfigError("iid uniform exogenous needs half_width >= 0")
             else:
                 raise ConfigError("iid exogenous family must be 'normal' or 'uniform'")
+        read = {"kind"} if self.kind == "trend" else {
+            "kind", "family", "mean", "sd" if self.family == "normal" else "half_width"}
+        unread = [f.name for f in fields(self)
+                  if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:  # a value nothing reads would be dropped without a word
+            raise ConfigError(f"exogenous kind {self.kind!r}, family {self.family!r} "
+                              f"does not use {unread}")
 
     @property
     def mean_abs_dev(self) -> float:

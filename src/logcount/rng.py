@@ -180,7 +180,7 @@ def run_chunks(worker: Callable[[int, int], object], n_items: int, threads: int 
     any reduction performed by the caller is independent of the worker count.
 
     ``chunk`` defaults to ``CHUNK``, which every caller that reduces floats
-    must keep (``theta`` and ``curve``): a row's float result can depend on
+    must keep (``ensemble_theta_hats``): a row's float result can depend on
     how many rows share its call.  A caller whose worker returns integer
     counts may pass other chunks, because an integer sum does not depend on
     how the rows are grouped: ``estimate_beta`` a wider ``span``,

@@ -18,7 +18,8 @@ No program path calls them; they live here, beside the tests, and not in
 * ``ar1_recursion``, the recursion ``y_t = v_t + phi y_{t-1}`` as one
   ``scipy.signal.lfilter`` call, the reference of ``bootstrap._ar1_solve``,
 * ``ar1_paths``, the AR(1) multiplier paths from one ``ar1_recursion`` call
-  on a copy of the normals, the reference of ``bootstrap._ar1_filter``,
+  on a copy of the normals, the reference of ``bootstrap._ar1_filter`` and,
+  times the summands, of the draws of ``bootstrap._draws``,
 * ``head_sum``, the dense TV head of one pair as one buffer of pmf
   differences summed by one numpy call, the reference of each partner's sum
   in ``innovations._head_sums``, and

@@ -15,13 +15,13 @@ PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
 
 
 # ---------------------------------------------------------------------------
-# multipliers
+# multiplier paths
 # ---------------------------------------------------------------------------
 
 def test_multiplier_iid_limit():
     # l_n -> 0 gives coefficients (0, 1): white noise with the same stream
     rng = np.random.default_rng(0)
-    w = lc.multipliers(1000, 1e-9, rng)
+    w = bootstrap._ar1_filter(rng.standard_normal((1, 1000)), 1e-9)[0]
     rng = np.random.default_rng(0)
     eps = rng.standard_normal((1, 1000))[0]
     assert np.allclose(w, eps, atol=1e-12)
@@ -29,23 +29,16 @@ def test_multiplier_iid_limit():
 
 def test_multiplier_lag1_correlation():
     rng = np.random.default_rng(3)
-    w = lc.multipliers(1_000_000, 20.0, rng)
+    w = bootstrap._ar1_filter(rng.standard_normal((1, 1_000_000)), 20.0)[0]
     r1 = float(np.corrcoef(w[:-1], w[1:])[0, 1])
     assert abs(r1 - math.exp(-1 / 20)) < 0.002
 
 
 def test_multiplier_unit_marginal_variance():
     rng = np.random.default_rng(4)
-    w = lc.multipliers(400, 15.0, rng, size=4000)
+    w = bootstrap._ar1_filter(rng.standard_normal((4000, 400)), 15.0)
     per_t_var = w.var(axis=0, ddof=1)
     assert np.all(np.abs(per_t_var - 1.0) < 5 * math.sqrt(2 / 4000))
-
-
-@pytest.mark.parametrize("n, l_n", [(0, 5.0), (-3, 5.0), (5, math.inf), (5, math.nan),
-                                     (5, 0.0), (5, -1.0)])
-def test_multipliers_reject_bad_input(n, l_n):
-    with pytest.raises(ConfigError):
-        lc.multipliers(n, l_n, np.random.default_rng(0))
 
 
 def test_multiplier_covariance_matrix_spd():
@@ -109,8 +102,9 @@ def test_ar1_solve_rejects_what_it_cannot_filter_in_place():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        lc.BootstrapConfig(l_n=0, N_n=10, B=100, alpha=0.1)
+    for l_n in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            lc.BootstrapConfig(l_n=l_n, N_n=10, B=100, alpha=0.1)
     with pytest.raises(ConfigError):
         lc.BootstrapConfig(l_n=5, N_n=0, B=100, alpha=0.1)
     with pytest.raises(ConfigError):
@@ -126,7 +120,7 @@ def test_t_star_rows_match_one_call_multipliers(n, B):
     cfg = lc.BootstrapConfig(l_n=10, N_n=30, B=B, alpha=0.1)
     x = fit.series_transformed
     d = lc.trend_weights(n) * (x - lc.nn_means(x, cfg.N_n))
-    want = lc.multipliers(n, cfg.l_n, np.random.default_rng(12), size=B) @ d
+    want = ar1_paths(np.random.default_rng(12).standard_normal((B, n)), cfg.l_n) @ d
     got = lc.t_star(fit, cfg, np.random.default_rng(12), size=B)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -152,7 +146,7 @@ def test_coverage_draws_match_forward_multipliers(monkeypatch, n, B):
         x = fit.series_transformed
         d = lc.trend_weights(n) * (x - lc.nn_means(x, N_n))
         rng = bootstrap._rng.stream(13, bootstrap._rng.NS_BOOT, i)
-        want = lc.multipliers(n, l_n, rng, size=B) @ d
+        want = ar1_paths(rng.standard_normal((B, n)), l_n) @ d
         sd = math.sqrt(lc.t_star_variance(fit, lc.BootstrapConfig(l_n, N_n, B, 0.1)))
         assert np.max(np.abs(got - want)) <= 1e-13 * sd
 
@@ -220,8 +214,10 @@ def test_draws_match_one_lfilter_call(n, B):
         return np.concatenate([paths[r0:r0 + rows] @ d for r0 in range(0, B, rows)])
 
     for l_n in l_ns:
-        assert _same_bits(lc.multipliers(n, l_n, np.random.default_rng(15), size=B), w[l_n])
-    assert _same_bits(lc.multipliers(n, 10.0, np.random.default_rng(15)), w[10.0][0])
+        eps = np.random.default_rng(15).standard_normal((B, n))
+        assert _same_bits(bootstrap._ar1_filter(eps, l_n), w[l_n])
+    eps = np.random.default_rng(15).standard_normal((1, n))
+    assert _same_bits(bootstrap._ar1_filter(eps, 10.0)[0], w[10.0][0])
     ds = [np.random.default_rng(16 + i).standard_normal(n) for i in range(2)]
     for l_n in l_ns:
         for d in ds:

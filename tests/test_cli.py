@@ -258,6 +258,16 @@ def files(tmp_path_factory):
     # with both, the row that comes first decides, though pairs share heads
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1, 1e308, -1]}, 4),
     ("tv-check", {"innovation": {"family": "exponential"}, "sigmas": [1, -1, 1e308]}, 2),
+    # a value the run would ignore is refused, not dropped
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": [1, 2], "n_max": 3}, 2),
+    ("tv-check", {"innovation": {"family": "exponential"},
+                  "innovations": [{"family": "half_normal"}], "sigmas": [1, 2]}, 2),
+    ("simulate", {"model": {**MODEL, "exogenous": {"kind": "trend", "family": "normal",
+                                                   "sd": 3}}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "c": 0, "exogenous": {"kind": "iid", "family": "normal",
+                                                           "half_width": 1}}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "c": 0, "exogenous": {"kind": "iid", "family": "uniform",
+                                                           "sd": 1}}, "n": 5}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])

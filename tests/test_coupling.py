@@ -9,7 +9,6 @@ from scipy import stats
 import logcount as lc
 from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index,
                                _first_true, _scaled_coupled)
-from logcount.errors import ConfigError
 from logcount.rng import chunk_bounds
 from oracles import dense_coupled, support_bound
 
@@ -38,35 +37,41 @@ def chi2_gof_pvalue(law, draws):
     return float(stats.chi2.sf(stat, keep.sum() - 1))
 
 
+def coupled(law, law_prime, rng, size):
+    """``_scaled_coupled`` at the scales of two laws of one innovation, on ``rng.random(size)``."""
+    u = rng.random(size)
+    sigma, sigma_prime = np.full(u.shape, law.sigma), np.full(u.shape, law_prime.sigma)
+    return _scaled_coupled(law.base, sigma, sigma_prime, u)
+
+
+def tv_of(law1, law2):
+    """Total variation distance of two laws of one innovation: a two-scale grid's pair row."""
+    return lc.tv_bound_check(law1.base, [law1.sigma, law2.sigma]).rows[1].tv
+
+
 # ---------------------------------------------------------------------------
-# coupled_draw
+# coupled draws
 # ---------------------------------------------------------------------------
 
 def test_equal_scales_always_merge():
     law = lc.DiscretizedLaw(EXP, 3.0)
-    x, xp, merged = lc.coupled_draw(law, law, np.random.default_rng(0), size=5000)
+    x, xp, merged = coupled(law, law, np.random.default_rng(0), size=5000)
     assert merged.all()
     assert np.array_equal(x, xp)
     assert chi2_gof_pvalue(law, x) > 1e-3
 
 
-def test_mismatched_bases_rejected():
-    with pytest.raises(ConfigError):
-        lc.coupled_draw(lc.DiscretizedLaw(EXP, 1.0), lc.DiscretizedLaw(HN, 1.0),
-                        np.random.default_rng(0), size=1)
-
-
 def test_merge_frequency_matches_overlap():
     law1, law2 = lc.DiscretizedLaw(EXP, 1.0), lc.DiscretizedLaw(EXP, 2.0)
-    _, _, merged = lc.coupled_draw(law1, law2, np.random.default_rng(7), size=1_000_000)
-    tv = lc.tv_distance(law1, law2)
+    _, _, merged = coupled(law1, law2, np.random.default_rng(7), size=1_000_000)
+    tv = tv_of(law1, law2)
     se = math.sqrt(tv * (1 - tv) / 1_000_000)
     assert abs(merged.mean() - (1 - tv)) <= 3 * se
 
 
 def test_order_preservation_exhaustive():
     law_hi, law_lo = lc.DiscretizedLaw(EXP, 3.0), lc.DiscretizedLaw(EXP, 1.0)
-    x, xp, merged = lc.coupled_draw(law_hi, law_lo, np.random.default_rng(3), size=1_000_000)
+    x, xp, merged = coupled(law_hi, law_lo, np.random.default_rng(3), size=1_000_000)
     assert np.all(x >= xp)
     assert np.all(x[~merged] > xp[~merged])
 
@@ -76,8 +81,8 @@ def test_merge_frequency_random_scale_pairs():
     for _ in range(20):
         s1, s2 = np.exp(rng.uniform(-1.5, 2.5, size=2))
         law1, law2 = lc.DiscretizedLaw(EXP, float(s1)), lc.DiscretizedLaw(EXP, float(s2))
-        _, _, merged = lc.coupled_draw(law1, law2, rng, size=40_000)
-        tv = lc.tv_distance(law1, law2)
+        _, _, merged = coupled(law1, law2, rng, size=40_000)
+        tv = tv_of(law1, law2)
         se = math.sqrt(max(tv * (1 - tv), 1e-12) / 40_000)
         assert abs(merged.mean() - (1 - tv)) <= 4 * se + 1e-9
 
@@ -107,7 +112,7 @@ def test_fast_path_equals_dense_reference_heavy_tail():
     spec = lc.HalfCauchy(0.0, 1.0)
     law1, law2 = lc.DiscretizedLaw(spec, 1.0), lc.DiscretizedLaw(spec, 1.5)
     tail = 1e-4
-    omega = 1.0 - lc.tv_distance(law1, law2)
+    omega = 1.0 - tv_of(law1, law2)
     u = np.linspace(1e-6, 0.995, 2001)
     u = u[np.abs(u - omega) > 2 * tail]
     xd, xpd, md = dense_coupled(law1, law2, u, tail=tail)
@@ -134,8 +139,8 @@ def test_heavy_tail_merge_frequency_matches_overlap():
     # used to land near 1e13, where dtv ~ 0, and merge every draw
     law1, law2 = lc.DiscretizedLaw(HC, 1000.0), lc.DiscretizedLaw(HC, 1500.0)
     n = 100_000
-    _, _, merged = lc.coupled_draw(law1, law2, np.random.default_rng(31), size=n)
-    tv = lc.tv_distance(law1, law2)
+    _, _, merged = coupled(law1, law2, np.random.default_rng(31), size=n)
+    tv = tv_of(law1, law2)
     assert tv == pytest.approx(_hc_tv(1000.0, 1500.0), abs=1e-15)
     assert abs(merged.mean() - (1 - tv)) <= 5 * math.sqrt(tv * (1 - tv) / n)
 
@@ -146,8 +151,8 @@ def test_heavy_tail_merge_frequency_random_scale_pairs():
     for _ in range(300):
         s_lo = float(np.exp(rng.uniform(0.0, 12.0)))
         s_hi = s_lo * float(np.exp(rng.uniform(0.0, 1.0)))
-        _, _, merged = lc.coupled_draw(lc.DiscretizedLaw(HC, s_lo), lc.DiscretizedLaw(HC, s_hi),
-                                       rng, size=n)
+        _, _, merged = coupled(lc.DiscretizedLaw(HC, s_lo), lc.DiscretizedLaw(HC, s_hi), rng,
+                               size=n)
         tv = _hc_tv(s_lo, s_hi)
         assert abs(merged.mean() - (1 - tv)) <= 5 * math.sqrt(tv * (1 - tv) / n), (s_lo, s_hi)
 
@@ -155,7 +160,7 @@ def test_heavy_tail_merge_frequency_random_scale_pairs():
 def test_heavy_tail_marginals_at_the_crossing():
     lo, hi = lc.DiscretizedLaw(HC, 1000.0), lc.DiscretizedLaw(HC, 1500.0)
     n = 100_000
-    x_hi, x_lo, _ = lc.coupled_draw(hi, lo, np.random.default_rng(32), size=n)
+    x_hi, x_lo, _ = coupled(hi, lo, np.random.default_rng(32), size=n)
     k = math.isqrt(1000 * 1500)  # floor of the crossing sqrt(s_lo s_hi)
     for law, x in ((lo, x_lo), (hi, x_hi)):
         f = float(law.cdf(k))
@@ -301,7 +306,7 @@ def test_mixed_equal_and_unequal_scales_match_one_entry_calls(spec):
 def test_marginals_pass_gof_both_coordinates():
     rng = np.random.default_rng(2024)
     law1, law2 = lc.DiscretizedLaw(EXP, 2.0), lc.DiscretizedLaw(EXP, 4.5)
-    x, xp, _ = lc.coupled_draw(law1, law2, rng, size=200_000)
+    x, xp, _ = coupled(law1, law2, rng, size=200_000)
     assert chi2_gof_pvalue(law1, x) > 1e-3
     assert chi2_gof_pvalue(law2, xp) > 1e-3
 
@@ -313,36 +318,29 @@ def test_marginals_pass_gof_both_coordinates():
 def test_degenerate_recursion_merges_immediately():
     # without feedback the intensities coincide from the first coupled step
     params = lc.ModelParams(a=0.0, b=0.0, c=2.0, innovation=EXP)
-    run = lc.run_coupled_chains(params, k=5, n_max=5, truncation=5, master_seed=3)
-    assert run.merged.all()
-    assert np.array_equal(run.x[6:], run.x_prime[6:])
+    merged = _coupled_chain_block(params, 5, 5 + 5, 3, 0, 1)
+    assert merged.shape == (1, 10)
+    assert merged.all()
 
 
 @pytest.mark.parametrize("params", [PARAMS, IID_PARAMS], ids=["trend", "iid"])
 def test_coupled_replicate_does_not_depend_on_its_block(params):
-    # run_coupled_chains(replicate=r) is row r - lo of any block holding r
+    # replicate r alone is row r - lo of any block holding r
     k, n_max, truncation, lo, hi = 6, 8, 4, 3, 11
-    merged, sig, xs = _coupled_chain_block(params, k, n_max + truncation, 77, lo, hi)
+    merged = _coupled_chain_block(params, k, n_max + truncation, 77, lo, hi)
     assert merged.shape == (hi - lo, n_max + truncation)
-    assert sig.shape == xs.shape == (2, hi - lo, k + 1 + n_max + truncation)
     for r in range(lo, hi):
-        run = lc.run_coupled_chains(params, k, n_max, truncation, 77, replicate=r)
-        i = r - lo
-        assert np.array_equal(run.sigma, sig[0, i]) and np.array_equal(run.sigma_prime, sig[1, i])
-        assert np.array_equal(run.x, xs[0, i]) and np.array_equal(run.x_prime, xs[1, i])
-        assert np.array_equal(run.merged, merged[i])
+        alone = _coupled_chain_block(params, k, n_max + truncation, 77, r, r + 1)
+        assert np.array_equal(alone[0], merged[r - lo])
 
 
 def test_run_reproducible_and_sign_consistent():
-    run1 = lc.run_coupled_chains(PARAMS, k=10, n_max=5, truncation=10, master_seed=42)
-    run2 = lc.run_coupled_chains(PARAMS, k=10, n_max=5, truncation=10, master_seed=42)
-    assert np.array_equal(run1.x, run2.x)
-    assert np.array_equal(run1.merged, run2.merged)
-    # coupled draws agree in sign with the intensity gap
-    post = slice(11, None)
-    dx = run1.x[post] - run1.x_prime[post]
-    ds = run1.sigma[post] - run1.sigma_prime[post]
-    assert np.all((dx == 0) | (np.sign(dx) == np.sign(ds)))
+    # the sign of each coupled draw against its scales is checked per draw by
+    # test_order_preservation_exhaustive; a chain that swapped its pair would
+    # move the pinned counts of test_beta_chunk_counts_pinned
+    run1 = _coupled_chain_block(PARAMS, 10, 5 + 10, 42, 0, 1)
+    run2 = _coupled_chain_block(PARAMS, 10, 5 + 10, 42, 0, 1)
+    assert np.array_equal(run1, run2)
 
 
 def test_estimate_beta_contract():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import logcount as lc
 from logcount.errors import ConfigError
+from logcount.process import simulate_replicate_block
 from oracles import loglog_sum_check, nn_mean
 
 EXP = lc.Exponential(1.0)
@@ -127,7 +128,9 @@ def test_nn_means_matches_scalar_op():
 
 def test_nn_mean_bias_sandwich():
     # |E m_hat(t) - m(t)| <= E l_{(t+N) ^ n} - E l_{(t-N) v 1} on mean curves
-    means, se, _ = lc.mean_log_curve(PARAMS, 40, 6000, 23)
+    _, xs = simulate_replicate_block(PARAMS, 40, 23, 0, 6000)
+    l = np.log1p(xs)
+    means, se = l.mean(axis=0), l.std(axis=0, ddof=1) / math.sqrt(len(l))
     m = means[1:]  # t = 1..40
     n = len(m)
     N = 5
@@ -154,8 +157,6 @@ def test_theta_bar_single_loop_equals_that_replicate():
 def test_zero_replicates_is_a_config_error(replicates):
     with pytest.raises(ConfigError, match="replicates"):
         lc.ensemble_theta_hats(PARAMS, 60, replicates, 1)
-    with pytest.raises(ConfigError, match="replicates"):
-        lc.mean_log_curve(PARAMS, 60, replicates, 1)
     with pytest.raises(ConfigError, match="mc_loops"):
         lc.theta_bar_mc(PARAMS, 60, replicates, 1)
 

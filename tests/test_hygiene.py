@@ -86,13 +86,7 @@ def names_used_by_the_program():
 # Public definitions that only the tests call, each kept for a reason.
 TEST_ONLY_PUBLIC = {
     "theoretical_autocovariance": "paper math: the stationary autocovariance of ln(X_t + 1)",
-    "mean_log_curve": "paper math: Monte Carlo means of ln(X_t + 1), whose slope is theta",
-    "run_coupled_chains": "paper math: one coupled pair with its paths, the mixing experiment's unit",
     "t_star_variance": "paper math: the exact conditional variance of the bootstrap statistic",
-    "coupled_draw": "the public single draw of the ordered maximal coupling",
-    "multipliers": "the paper's multiplier process, the bit-for-bit reference of bootstrap._draws",
-    "tv_distance": "paper math: the TV distance of two count laws, the one-pair call of "
-                   "tv_bound_check's grouped head",
 }
 
 
@@ -139,3 +133,16 @@ def test_no_function_local_imports():
                 findings.extend(f"{path.stem}.{fn.name}" for node in ast.walk(fn)
                                 if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert findings == [], f"imports inside functions: {findings}"
+
+
+def test_exports_match_the_package_imports():
+    # a name half removed from either list would first break ``from logcount import *``
+    tree = parse(PACKAGE / "__init__.py")
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    assert set(exported) == imported

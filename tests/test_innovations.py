@@ -443,37 +443,33 @@ def test_sample_matches_floor_of_scaled_quantile(sigma):
 # total variation
 # ---------------------------------------------------------------------------
 
+def tv_of(spec, s1, s2):
+    """Total variation distance of the count laws at two scales: a two-scale grid's pair row."""
+    return lc.tv_bound_check(spec, [s1, s2]).rows[1].tv
+
+
 def test_tv_identical_laws_zero():
-    law = lc.DiscretizedLaw(EXP, 5.0)
-    assert lc.tv_distance(law, lc.DiscretizedLaw(EXP, 5.0)) == 0.0
-
-
-def test_tv_mismatched_bases_rejected():
-    with pytest.raises(ConfigError):
-        lc.tv_distance(lc.DiscretizedLaw(EXP, 1.0), lc.DiscretizedLaw(CHI3, 1.0))
+    assert tv_of(EXP, 5.0, 5.0) == 0.0
 
 
 def test_tv_log_scale_bound_monotone_density():
-    a = lc.DiscretizedLaw(EXP, 1.0)
-    b = lc.DiscretizedLaw(EXP, math.e)
-    assert lc.tv_distance(a, b) <= 1.0
+    assert tv_of(EXP, 1.0, math.e) <= 1.0
 
 
 def test_tv_direct_summation_oracle():
     s1, s2 = 2.0, 2.2
-    law1, law2 = lc.DiscretizedLaw(EXP, s1), lc.DiscretizedLaw(EXP, s2)
     p1 = 1 - math.exp(-1 / s1)
     p2 = 1 - math.exp(-1 / s2)
     k = np.arange(0, 4000)
     oracle = 0.5 * np.abs((1 - p1) ** k * p1 - (1 - p2) ** k * p2).sum()
-    assert lc.tv_distance(law1, law2) == pytest.approx(oracle, abs=1e-12)
+    assert tv_of(EXP, s1, s2) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_tv_far_scales_skip_quadrature_rule():
     # the Gauss-Legendre rule (and LAPACK) is built only for close scales
     code = ("import logcount as lc, logcount.innovations as inv\n"
             "hc = lc.HalfCauchy(0.0, 1.0)\n"
-            "lc.tv_distance(lc.DiscretizedLaw(hc, 1.0), lc.DiscretizedLaw(hc, 2.0))\n"
+            "lc.tv_bound_check(hc, [1.0, 2.0])\n"
             "print(inv._gauss_legendre.cache_info().misses)\n")
     src = str(Path(lc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -486,8 +482,7 @@ def test_tv_far_scales_skip_quadrature_rule():
 def test_tv_tiny_scale_overflows_to_its_limit_without_warning():
     # (k+1)/1e-300 overflows to inf in the tail walk, where cdf is 1: the
     # tv is 1 - cdf_hc(1) = 1/2
-    law1, law2 = lc.DiscretizedLaw(HC0, 1e-300), lc.DiscretizedLaw(HC0, 1.0)
-    assert lc.tv_distance(law1, law2) == pytest.approx(0.5, abs=1e-15)
+    assert tv_of(HC0, 1e-300, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("spec, grid, tv", [(EXP, [1e-300, 1, 1e300], 1.0),
@@ -502,9 +497,7 @@ def test_tv_bound_check_at_far_apart_scales_does_not_warn(spec, grid, tv):
 
 
 def test_tv_symmetric():
-    a = lc.DiscretizedLaw(HN_UNIT, 1.3)
-    b = lc.DiscretizedLaw(HN_UNIT, 4.1)
-    assert lc.tv_distance(a, b) == lc.tv_distance(b, a)
+    assert tv_of(HN_UNIT, 1.3, 4.1) == tv_of(HN_UNIT, 4.1, 1.3)
 
 
 def test_tv_heavy_tail_base():
@@ -515,7 +508,7 @@ def test_tv_heavy_tail_base():
     k = np.arange(0, 2_000_000)
     direct = 0.5 * float(np.abs(law1.pmf(k) - law2.pmf(k)).sum())
     tail = 0.5 * abs(float(law1.sf(k[-1])) - float(law2.sf(k[-1])))
-    val = lc.tv_distance(law1, law2)
+    val = tv_of(HC0, 1.0, 1.5)
     assert val == pytest.approx(direct + tail, abs=1e-6)
     assert val <= abs(math.log(1.5)) + 1e-9  # monotone density bound
 
@@ -542,11 +535,11 @@ def _mp_half_cauchy_tv(spec, s_lo, s_hi):
     (HC4, 1e6, 1.5e6),
 ])
 def test_tv_heavy_tail_large_scales_match_mpmath(spec, s_lo, s_hi):
-    val = lc.tv_distance(lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, s_hi))
+    val = tv_of(spec, s_lo, s_hi)
     assert abs(val - _mp_half_cauchy_tv(spec, s_lo, s_hi)) <= 1e-15
 
 
-# tv_distance on the grid of the benchmark's tv-check, every pair
+# the TV on the grid of the benchmark's tv-check, every pair
 # sigma <= sigma' of TV_GRID_SIGMAS in row order, pinned bit for bit
 TV_GRID_SIGMAS = [1, 2, 5, 10, 50, 200]
 TV_GRID_PINNED = [
@@ -585,7 +578,7 @@ TV_GRID_PINNED = [
 
 @pytest.mark.parametrize("spec,expected", TV_GRID_PINNED, ids=[str(s) for s, _ in TV_GRID_PINNED])
 def test_tv_grid_values_pinned(spec, expected):
-    got = [lc.tv_distance(lc.DiscretizedLaw(spec, float(a)), lc.DiscretizedLaw(spec, float(b)))
+    got = [tv_of(spec, float(a), float(b))
            for i, a in enumerate(TV_GRID_SIGMAS) for b in TV_GRID_SIGMAS[i:]]
     assert [repr(v) for v in got] == [repr(v) for v in expected]
 
@@ -600,8 +593,7 @@ def test_tv_bound_check_rows_equal_per_pair_tv_distance(spec, grid):
     report = lc.tv_bound_check(spec, grid)
     pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]
     assert [(r.sigma, r.sigma_prime) for r in report.rows] == pairs
-    expected = [lc.tv_distance(lc.DiscretizedLaw(spec, a), lc.DiscretizedLaw(spec, b))
-                for a, b in pairs]
+    expected = [tv_of(spec, a, b) for a, b in pairs]  # one walk of a one-partner head each
     assert [repr(r.tv) for r in report.rows] == [repr(v) for v in expected]
 
 
@@ -616,8 +608,7 @@ TV_CAPPED_PINNED = [
 
 @pytest.mark.parametrize("spec,s_lo,s_hi,expected", TV_CAPPED_PINNED)
 def test_tv_capped_head_values_pinned(spec, s_lo, s_hi, expected):
-    val = lc.tv_distance(lc.DiscretizedLaw(spec, s_lo), lc.DiscretizedLaw(spec, s_hi))
-    assert repr(val) == repr(expected)
+    assert repr(tv_of(spec, s_lo, s_hi)) == repr(expected)
 
 
 @pytest.mark.parametrize("spec", [EXP, HC0, HC4], ids=str)
@@ -650,8 +641,8 @@ def _traced_peak_mb(fn):
 def test_tv_capped_head_memory_stays_in_blocks():
     # the head of DENSE_MAX entries holds one leaf of HEAD_BLOCK indices at a
     # time, not a buffer of the whole head (32 MB)
-    law1, law2 = lc.DiscretizedLaw(HC0, 1000.0), lc.DiscretizedLaw(HC0, 1500.0)
-    assert _traced_peak_mb(lambda: lc.tv_distance(law1, law2)) < 2.0
+    lc.compute_constants(HC0)  # the cached constants, outside the trace
+    assert _traced_peak_mb(lambda: tv_of(HC0, 1000.0, 1500.0)) < 2.0
 
 
 def test_tv_bound_check_on_benchmark_grid_holds_one_leaf():

@@ -58,6 +58,18 @@ def test_exogenous_spec_mean_abs_dev():
         lc.ExogenousSpec(kind="iid", family="gamma")
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "trend", "family": "normal", "sd": 3.0},
+    {"kind": "trend", "mean": 0.5},
+    {"kind": "iid", "family": "normal", "sd": 1.0, "half_width": 2.0},
+    {"kind": "iid", "family": "uniform", "half_width": 1.0, "sd": 2.0},
+])
+def test_exogenous_spec_rejects_fields_it_does_not_read(fields):
+    # a trend reads none of them, a family only its own spread
+    with pytest.raises(ConfigError, match="does not use"):
+        lc.ExogenousSpec(**fields)
+
+
 # ---------------------------------------------------------------------------
 # one step of the recursion
 # ---------------------------------------------------------------------------
@@ -328,5 +340,7 @@ def test_empirical_autocovariance_approaches_theory():
 
 
 def test_monotone_mean_curve_small():
-    means, _, se_d = lc.mean_log_curve(PARAMS, 30, 4000, 17)
-    assert np.all(np.diff(means) >= -2 * se_d)
+    _, xs = simulate_replicate_block(PARAMS, 30, 17, 0, 4000)
+    l = np.log1p(xs)
+    se_d = np.diff(l, axis=1).std(axis=0, ddof=1) / math.sqrt(len(l))  # paired differences
+    assert np.all(np.diff(l.mean(axis=0)) >= -2 * se_d)
