@@ -9,6 +9,15 @@ bootstrap distribution.  Quantiles of the bootstrap draws give confidence
 intervals for the projection target with half-width ``u* / (sqrt(n) ln n)``.
 ``t_star`` filters the normals into paths, ``coverage_experiment`` the summands
 backwards (the adjoint), each by a ``dgtsv`` solve with ``lfilter``'s bits.
+
+A coverage loop reports one bit per (cell, alpha), so it draws its normals
+``VERDICT_STEP`` rows at a time and stops once no row still to come can flip
+any bit.  The order statistic that gives ``u*`` is bracketed by the sorted
+draws so far, widened by a bound on the rounding gap between the step
+products and the reference block products; covering is monotone in ``u*``,
+so a bit that agrees at both ends of its bracket is the bit the full draws
+give.  A loop with a bit still open takes the full path, so every covered
+count keeps its bits.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from . import rng as _rng
 from .errors import ConfigError
 from .estimation import (THETA_BAR_LOOPS, TrendFit, nn_means, theta_hat, trend_weights,
                          theta_bar_mc)
-from .process import ModelParams, simulate_replicate_block, validate
+from .process import ModelParams, _check_shape, simulate_replicate_block, validate
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,9 @@ def _check_l_n(l_n: float) -> None:
 # filters a block in place, so it holds one block; a coverage loop filters none.
 BLOCK_ELEMENTS = 2**20
 
+# Rows of normals a coverage loop draws between two looks at its verdicts
+VERDICT_STEP = 32
+
 
 def _ar1_solve(v: np.ndarray, l_n: float) -> np.ndarray:
     """``v[..., t] += phi v[..., t-1]``, ``phi = exp(-1/l_n)``, in place on C-contiguous rows.
@@ -129,23 +141,21 @@ def _block_buffer(n: int, B: int) -> np.ndarray:
     return np.empty((min(max(16, BLOCK_ELEMENTS // n // 16 * 16), B), n))
 
 
-def _normal_blocks(rng: np.random.Generator, B: int, buf: np.ndarray):
-    """Yield the normals of ``rng.standard_normal((B, n))`` in row blocks, each in ``buf``."""
-    for r0 in range(0, B, len(buf)):
-        eps = buf[:min(len(buf), B - r0)]
-        rng.standard_normal(out=eps)
-        yield eps
-
-
 def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator) -> np.ndarray:
     """``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d`` bit for bit, one block of
     paths at a time.
 
     A short last block matches wherever the one (B, n) product is itself
-    independent of the BLAS thread count.
+    independent of the BLAS thread count.  The B draws are allocated first,
+    so a B that no memory holds fails before any normal is drawn.
     """
-    return np.concatenate([_ar1_filter(eps, l_n) @ d
-                           for eps in _normal_blocks(rng, B, _block_buffer(len(d), B))])
+    out = np.empty(B)
+    buf = _block_buffer(len(d), B)
+    for r0 in range(0, B, len(buf)):
+        eps = buf[:min(len(buf), B - r0)]
+        rng.standard_normal(out=eps)
+        np.matmul(_ar1_filter(eps, l_n), d, out=out[r0:r0 + len(eps)])
+    return out
 
 
 def _adjoint_row(d: np.ndarray, l_n: float) -> np.ndarray:
@@ -187,14 +197,22 @@ def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
     return float(2.0 * (d @ f) - d @ d)
 
 
+def _rank(B: int, alpha: float) -> int:
+    """1-based rank, ceil((1 - alpha/2) * B) within 1..B, of the draw that gives u*."""
+    return min(max(math.ceil((1.0 - alpha / 2.0) * B), 1), B)
+
+
 def _u_star(draws: np.ndarray, alpha: float) -> float:
-    """Order statistic at ceil((1 - alpha/2) * B) of the signed draws.
+    """Order statistic at ``_rank`` of the signed draws.
 
     Clipped at zero so degenerate configurations keep lower <= upper.
     """
-    b = len(draws)
-    rank = min(max(math.ceil((1.0 - alpha / 2.0) * b), 1), b)
-    return max(float(np.sort(draws)[rank - 1]), 0.0)
+    return max(float(np.sort(draws)[_rank(len(draws), alpha) - 1]), 0.0)
+
+
+def _half_width(u, n: int):
+    """``u / (sqrt(n) ln n)``; it rounds monotonically in u, for floats and arrays alike."""
+    return u / (math.sqrt(n) * math.log(n))
 
 
 def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> ConfidenceInterval:
@@ -203,6 +221,7 @@ def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> Confidence
     Draws B bootstrap statistics from the (master_seed,) stream and inverts
     the symmetric two-sided quantile at level 1 - alpha.
     """
+    _check_shape(cfg.B, 1)
     if cfg.B < 200:
         warnings.warn(f"B={cfg.B} bootstrap draws is low; quantiles will be coarse",
                       stacklevel=2)
@@ -216,7 +235,7 @@ def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> Confidence
 
 def _interval_from_draws(fit: TrendFit, draws: np.ndarray, alpha: float) -> ConfidenceInterval:
     u = _u_star(draws, alpha)
-    hw = u / (math.sqrt(fit.n) * math.log(fit.n))
+    hw = _half_width(u, fit.n)
     return ConfidenceInterval(
         lower=fit.theta_hat - hw,
         upper=fit.theta_hat + hw,
@@ -237,6 +256,79 @@ class CoverageCell:
     B: int
 
 
+def _order_margin(n: int, big: float, g1: np.ndarray) -> np.ndarray:
+    """Per cell, a bound on how far two summation orders of ``eps_b . g`` can differ.
+
+    ``big`` bounds ``|eps_bt|`` and ``g1`` is ``||g||_1`` per cell.  Each order
+    lies within ``gamma_n sum_t |eps_bt g_t|`` of the exact sum, with
+    ``gamma_n = n u / (1 - n u)`` (Higham 2002, section 3.1), plus half the
+    least subnormal per product that underflows.  The bound is doubled, which
+    covers its own rounding and that of adding it to a draw.
+    """
+    unit = 2.0**-53  # float64 unit roundoff
+    gamma = n * unit / (1.0 - n * unit)
+    return 2.0 * (2.0 * gamma * big * g1 + n * 2.0**-1074)
+
+
+def _settled(fit: TrendFit, draws: np.ndarray, B: int, ranks: np.ndarray,
+             margin: np.ndarray, theta_bar: float) -> np.ndarray | None:
+    """Covered verdicts (cells, alphas) that no further row can change, or None.
+
+    ``draws`` holds the first m of B draws, one column per cell, each within
+    ``margin`` of the draw the reference block product gives.  With p the
+    sorted columns, the rank-th of all B draws lies in
+    ``[p_(rank-(B-m)) - margin, p_(rank) + margin]``, an end past the drawn
+    rows being infinite.  ``lower <= theta_bar <= upper`` holds on an upward
+    closed set of ``u* = max(S_(rank), 0)``, since the half-width rounds
+    monotonically, so a verdict that agrees at both ends is the full draws'.
+    """
+    m, cells = draws.shape
+    q = np.concatenate([np.full((1, cells), -np.inf), np.sort(draws, axis=0),
+                        np.full((1, cells), np.inf)])
+    ends = [np.maximum(q[np.maximum(ranks - (B - m), 0)] - margin, 0.0),
+            np.maximum(q[np.minimum(ranks, m + 1)] + margin, 0.0)]
+    low, high = ((fit.theta_hat - hw <= theta_bar) & (theta_bar <= fit.theta_hat + hw)
+                 for hw in (_half_width(u, fit.n) for u in ends))
+    return low.T if np.array_equal(low, high) else None
+
+
+def _loop_covered(fit: TrendFit, g: np.ndarray, alphas: tuple, B: int, theta_bar: float,
+                  rng: np.random.Generator, eps_buf: np.ndarray,
+                  draws: np.ndarray) -> np.ndarray:
+    """Covered verdicts (cells, alphas) of one loop whose cells have adjoint rows ``g``.
+
+    Each block of ``rng.standard_normal((B, n))`` is filled ``VERDICT_STEP``
+    rows at a time, which gives the bits of one call, and the rows drawn so far
+    times ``g.T`` go to ``draws``.  After each step ``_settled`` may fix every
+    verdict, and then no further normal is drawn: the stream is the loop's own,
+    so no other loop changes.  Otherwise the loop takes the full path, one
+    ``eps @ g.T`` per block and ``_interval_from_draws``.
+    """
+    ranks = np.array([_rank(B, alpha) for alpha in alphas])
+    g1 = np.abs(g).sum(axis=1)
+    blocks, m, big = [], 0, 0.0
+    for r0 in range(0, B, len(eps_buf)):
+        eps = eps_buf[:min(len(eps_buf), B - r0)]
+        for s0 in range(0, len(eps), VERDICT_STEP):
+            part = eps[s0:s0 + VERDICT_STEP]
+            rng.standard_normal(out=part)
+            np.matmul(part, g.T, out=draws[m:m + len(part)])
+            m += len(part)
+            big = max(big, part.max(), -part.min())  # no temporary the size of a step
+            covered = _settled(fit, draws[:m], B, ranks, _order_margin(g.shape[1], big, g1),
+                               theta_bar)
+            if covered is not None:
+                return covered
+        blocks.append(eps @ g.T)
+    full = np.concatenate(blocks)
+    covered = np.zeros((len(g), len(alphas)), dtype=bool)
+    for ci in range(len(g)):
+        for ai, alpha in enumerate(alphas):
+            ci_obj = _interval_from_draws(fit, full[:, ci], alpha)
+            covered[ci, ai] = ci_obj.lower <= theta_bar <= ci_obj.upper
+    return covered
+
+
 def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
                     B: int, theta_bar: float, master_seed: int,
                     lo: int, hi: int) -> np.ndarray:
@@ -244,25 +336,24 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
 
     Within a loop every cell reuses the trajectory and the normals of
     ``t_star``'s stream; a cell's draws are ``eps @ _adjoint_row(d, l_n)``, so
-    one product per block serves all cells and no block is filtered.  Every
-    alpha reads the same draws, which keeps the per-alpha intervals nested.
-    The block buffer is made once per chunk: fresh arrays per loop cost about
-    1900 page faults per loop at n = B = 500.
+    one product serves all cells and no block is filtered.  Every alpha reads
+    the same draws, which keeps the per-alpha intervals nested.  A loop draws
+    its normals in steps of ``VERDICT_STEP`` rows and stops once every
+    verdict is fixed (``_loop_covered``); a verdict fixed early is, by its
+    rounding margin, the verdict of the full draws, so the counts keep their
+    bits.  The block buffer and the draws are made once per chunk: fresh
+    arrays per loop cost about 1900 page faults per loop at n = B = 500.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
     eps_buf = _block_buffer(n, B)
+    draws = np.empty((B, len(cells)))
     for i in range(lo, hi):
         fit = theta_hat(xs[i - lo, 1:])
         ds = {N_n: _summands(fit, N_n) for N_n in {w for _, w in cells}}
         g = np.array([_adjoint_row(ds[N_n], l_n) for l_n, N_n in cells])
         rng = _rng.stream(master_seed, _rng.NS_BOOT, i)
-        draws = np.concatenate([eps @ g.T for eps in _normal_blocks(rng, B, eps_buf)])
-        for ci in range(len(cells)):
-            for ai, alpha in enumerate(alphas):
-                ci_obj = _interval_from_draws(fit, draws[:, ci], alpha)
-                if ci_obj.lower <= theta_bar <= ci_obj.upper:
-                    counts[ci, ai] += 1
+        counts += _loop_covered(fit, g, alphas, B, theta_bar, rng, eps_buf, draws)
     return counts
 
 
@@ -275,6 +366,10 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     The target is estimated once per (params, n) from ``theta_bar_loops``
     independent replicates.  One row per (l_n, N_n, alpha).  Loop i's draws
     equal ``t_star`` on the (master_seed, NS_BOOT, i) stream up to rounding.
+    A loop stops drawing once the rows drawn so far fix all its verdicts,
+    bracketing each ``u*`` by order statistics widened by a rounding margin,
+    and otherwise draws all B rows; either way a count is the one the full
+    draws give, so the rows keep their bits.
     """
     validate(params)
     if mc_loops < 1:
@@ -284,6 +379,7 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     for l_n, N_n in cells:  # each (cell, alpha) must be a valid bootstrap tuning
         for alpha in alphas:
             BootstrapConfig(l_n=l_n, N_n=N_n, B=B, alpha=alpha)
+    _check_shape(B, len(cells))  # the (B, cells) draws of a chunk
     t_seed = _rng.derive_seed(master_seed, _rng.NS_TARGET)
     theta_bar = theta_bar_mc(params, n, theta_bar_loops, t_seed, threads).theta_bar
     cells_t = tuple((float(l), int(w)) for l, w in cells)

@@ -128,27 +128,29 @@ def test_t_star_rows_match_one_call_multipliers(n, B):
 @pytest.mark.parametrize("n, B", [(500, 500), (20_000, 200)])
 def test_coverage_draws_match_forward_multipliers(monkeypatch, n, B):
     # each cell's draws, the normals times the adjoint-filtered summands, are
-    # the forward w @ d of the same normals up to rounding; at n = 20000 the
-    # 200 rows take several blocks
-    seen = []
-    interval = bootstrap._interval_from_draws
+    # the forward w @ d of the same normals up to rounding, over the rows the
+    # loop drew before its verdicts settled; at n = 20000 the 200 rows take
+    # several blocks
+    seen = {}
+    settled = bootstrap._settled
 
-    def capture(fit, draws, alpha):
-        seen.append((fit, draws.copy()))
-        return interval(fit, draws, alpha)
+    def capture(fit, draws, *args):
+        seen[id(fit)] = (fit, draws.copy())  # the last look holds every row drawn
+        return settled(fit, draws, *args)
 
-    monkeypatch.setattr(bootstrap, "_interval_from_draws", capture)
+    monkeypatch.setattr(bootstrap, "_settled", capture)
     cells = ((10.0, 30), (20.0, 65))
     bootstrap._coverage_chunk(PARAMS, n, cells, (0.1,), B, 2.4, 13, 0, 2)
-    assert len(seen) == 2 * len(cells)
-    for k, (fit, got) in enumerate(seen):
-        i, (l_n, N_n) = k // len(cells), cells[k % len(cells)]
-        x = fit.series_transformed
-        d = lc.trend_weights(n) * (x - lc.nn_means(x, N_n))
+    assert len(seen) == 2
+    for i, (fit, got) in enumerate(seen.values()):
         rng = bootstrap._rng.stream(13, bootstrap._rng.NS_BOOT, i)
-        want = ar1_paths(rng.standard_normal((B, n)), l_n) @ d
-        sd = math.sqrt(lc.t_star_variance(fit, lc.BootstrapConfig(l_n, N_n, B, 0.1)))
-        assert np.max(np.abs(got - want)) <= 1e-13 * sd
+        eps = rng.standard_normal((len(got), n))
+        for ci, (l_n, N_n) in enumerate(cells):
+            x = fit.series_transformed
+            d = lc.trend_weights(n) * (x - lc.nn_means(x, N_n))
+            want = ar1_paths(eps, l_n) @ d
+            sd = math.sqrt(lc.t_star_variance(fit, lc.BootstrapConfig(l_n, N_n, B, 0.1)))
+            assert np.max(np.abs(got[:, ci] - want)) <= 1e-13 * sd
 
 
 @pytest.mark.parametrize("n, l_n, N_n", [(500, 10.0, 65), (501, 40.0, 5), (20_000, 0.3, 1)])
@@ -179,6 +181,117 @@ def test_coverage_fractions_keep_forward_kernel_values(law, c, n, cells, alphas,
     rows = lc.coverage_experiment(params, n, cells=cells, alphas=alphas, mc_loops=loops, B=B,
                                   master_seed=seed, theta_bar_loops=target_loops)
     assert [r.coverage for r in rows] == [k / loops for k in covered]
+
+
+class _CountingStream:
+    """A bootstrap generator that counts the rows of normals drawn from it."""
+
+    def __init__(self, gen):
+        self.gen, self.rows = gen, 0
+
+    def standard_normal(self, *, out):
+        self.rows += len(out)
+        return self.gen.standard_normal(out=out)
+
+
+def _count_rows(monkeypatch):
+    """Wrap every (seed, NS_BOOT, i) stream; returns the list of wrappers, in loop order."""
+    made = []
+    stream = bootstrap._rng.stream
+
+    def counting(master_seed, *path):
+        gen = stream(master_seed, *path)
+        if path[:1] == (bootstrap._rng.NS_BOOT,):
+            gen = _CountingStream(gen)
+            made.append(gen)
+        return gen
+
+    monkeypatch.setattr(bootstrap._rng, "stream", counting)
+    return made
+
+
+def _verdicts(monkeypatch, params, n, cells, alphas, B, theta_bar, seed, lo, hi, full=False):
+    """Per-loop covered verdicts of _coverage_chunk; ``full`` never settles a loop early."""
+    out = []
+    loop_covered = bootstrap._loop_covered
+
+    def record(*args):
+        out.append(loop_covered(*args))
+        return out[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(bootstrap, "_loop_covered", record)
+        if full:
+            m.setattr(bootstrap, "_settled", lambda *args: None)
+        counts = bootstrap._coverage_chunk(params, n, tuple(cells), tuple(alphas), B, theta_bar,
+                                           seed, lo, hi)
+    assert np.array_equal(counts, np.sum(out, axis=0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("law, c, n, cells, alphas, loops, B, seed, target_loops, covered",
+                         COVERAGE_PINS)
+def test_early_verdicts_equal_full_draw_verdicts(monkeypatch, law, c, n, cells, alphas, loops,
+                                                 B, seed, target_loops, covered):
+    # every loop and (cell, alpha): the verdict fixed from the rows drawn so
+    # far is the one the full B rows give through _interval_from_draws
+    params = lc.ModelParams(a=0.1, b=0.1, c=c, innovation=law)
+    t_seed = bootstrap._rng.derive_seed(seed, bootstrap._rng.NS_TARGET)
+    theta_bar = lc.theta_bar_mc(params, n, target_loops, t_seed).theta_bar
+    args = (params, n, cells, alphas, B, theta_bar, seed, 0, loops)
+    early = _verdicts(monkeypatch, *args)
+    assert np.array_equal(early, _verdicts(monkeypatch, *args, full=True))
+    assert early.sum(axis=0).ravel().tolist() == covered
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_verdict_at_an_interval_end_takes_the_full_path(monkeypatch, end):
+    # theta_bar on an end of loop 4's first interval, computed from the full
+    # draws: no rounding margin can settle that verdict, so the loop draws all
+    # B rows and counts what _interval_from_draws gives
+    cells, alphas, B = ((8.0, 20), (3.0, 10)), (0.1, 0.05), 300
+    intervals = []
+    interval = bootstrap._interval_from_draws
+
+    def capture(fit, draws, alpha):
+        intervals.append(interval(fit, draws, alpha))
+        return intervals[-1]
+
+    monkeypatch.setattr(bootstrap, "_interval_from_draws", capture)
+    args = (PARAMS, 120, cells, alphas, B)
+    _verdicts(monkeypatch, *args, 2.0, 99, 4, 5, full=True)
+    theta_bar = getattr(intervals[0], end)
+    full = _verdicts(monkeypatch, *args, theta_bar, 99, 4, 5, full=True)
+    del intervals[:]
+    streams = _count_rows(monkeypatch)
+    early = _verdicts(monkeypatch, *args, theta_bar, 99, 4, 5)
+    assert [s.rows for s in streams] == [B]
+    assert len(intervals) == len(cells) * len(alphas)  # the fallback ran
+    assert np.array_equal(early, full) and early[0, 0, 0]
+
+
+def test_row_slices_of_a_block_draw_the_bits_of_one_call():
+    # _loop_covered fills a block VERDICT_STEP rows at a time
+    for rows, n in ((500, 500), (48, 20_000), (7, 3)):
+        want = np.random.default_rng(21).standard_normal((rows, n))
+        rng = np.random.default_rng(21)
+        got = np.empty((rows, n))
+        for s0 in range(0, rows, bootstrap.VERDICT_STEP):
+            rng.standard_normal(out=got[s0:s0 + bootstrap.VERDICT_STEP])
+        assert _same_bits(got, want)
+
+
+def test_settled_loops_draw_fewer_rows(monkeypatch):
+    # the third pin's config: most loops settle before their B rows
+    law, c, n, cells, alphas, loops, B, seed, target_loops, covered = COVERAGE_PINS[2]
+    params = lc.ModelParams(a=0.1, b=0.1, c=c, innovation=law)
+    streams = _count_rows(monkeypatch)
+    rows = lc.coverage_experiment(params, n, cells=cells, alphas=alphas, mc_loops=loops, B=B,
+                                  master_seed=seed, theta_bar_loops=target_loops)
+    assert [r.coverage for r in rows] == [k / loops for k in covered]
+    drawn = [s.rows for s in streams]
+    assert len(drawn) == loops and max(drawn) <= B
+    assert np.mean(drawn) < B
 
 
 def test_coverage_chunk_holds_one_normals_block():
@@ -230,6 +343,33 @@ def test_draws_match_one_lfilter_call(n, B):
                                    - lc.nn_means(fit.series_transformed, cfg.N_n))
         got = lc.t_star(fit, cfg, np.random.default_rng(15), size=B)
         assert _same_bits(got, products(w[20.0], d))
+
+
+def test_huge_b_is_a_config_error_before_any_stream(monkeypatch):
+    # 1e30 draws fit no array index: refused before the target, the paths or
+    # a bootstrap stream is made, not drawn block after block without end
+    def no_stream(*args, **kwargs):
+        raise AssertionError("made a stream for an impossible B")
+
+    for name in ("theta_bar_mc", "simulate_replicate_block", "theta_hat"):
+        monkeypatch.setattr(bootstrap, name, no_stream)
+    monkeypatch.setattr(bootstrap._rng, "stream", no_stream)
+    with pytest.raises(ConfigError, match="too large"):
+        lc.coverage_experiment(PARAMS, 60, cells=[(2.0, 5)], alphas=[0.1], mc_loops=3,
+                               B=10**30, master_seed=1, theta_bar_loops=16)
+    cfg = lc.BootstrapConfig(l_n=2.0, N_n=5, B=10**30, alpha=0.1)
+    with pytest.raises(ConfigError, match="too large"):
+        lc.confidence_interval(np.arange(60), cfg, 1)
+
+
+def test_draws_that_fit_an_index_but_no_memory_fail_before_drawing():
+    # 2**59 draws fit an array index but no address space: the output is
+    # allocated first, so no normal is drawn
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(MemoryError):
+        bootstrap._draws(np.ones(60), 2.0, 2**59, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_t_star_constant_series():

@@ -275,6 +275,28 @@ def test_malformed_config_values_keep_documented_exit_codes(files, command, conf
     assert cli.main([*command.split(), "--config", str(files / "config.json")]) == code
 
 
+@pytest.mark.parametrize("command, config", [
+    ("ci", {"data": "{dir}/counts.csv", "bootstrap": {**BOOTSTRAP, "B": 10**30}}),
+    ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [{"family": "exponential"}],
+                  "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 10**30,
+                  "theta_bar_loops": 16}),
+])
+def test_b_no_array_can_hold_exits_2_at_once(files, capsys, command, config):
+    text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
+    (files / "config.json").write_text(text)
+    assert cli.main([command, "--config", str(files / "config.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_ci_b_no_memory_can_hold_exits_2(files, capsys):
+    # 2**59 draws fit an array index, so only the allocation can refuse them
+    config = {"data": str(files / "counts.csv"), "bootstrap": {**BOOTSTRAP, "B": 2**59}}
+    (files / "config.json").write_text(json.dumps(config))
+    with pytest.warns(UserWarning, match="centering bias may dominate"):
+        assert cli.main(["ci", "--config", str(files / "config.json")]) == 2
+    assert "config error: the configured sizes need more memory" in capsys.readouterr().err
+
+
 CONTRACT_CONFIGS = {
     "simulate": {"model": MODEL, "n": 5},
     "fit": {"data": "{dir}/counts.csv"},
