@@ -13,7 +13,6 @@ from .bootstrap import (
     CoverageCell,
     confidence_interval,
     coverage_experiment,
-    t_star,
     t_star_variance,
 )
 from .coupling import CouplingExperimentResult, estimate_beta
@@ -83,7 +82,6 @@ __all__ = [
     "innovation_from_json",
     "nn_means",
     "simulate",
-    "t_star",
     "t_star_variance",
     "t_statistic",
     "theorem1_bound",

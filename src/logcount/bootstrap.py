@@ -7,17 +7,31 @@ grid sample of an Ornstein-Uhlenbeck path.  Centering uses the moving-window
 mean, so serial dependence up to the multiplier range survives into the
 bootstrap distribution.  Quantiles of the bootstrap draws give confidence
 intervals for the projection target with half-width ``u* / (sqrt(n) ln n)``.
-``t_star`` filters the normals into paths, ``coverage_experiment`` the summands
-backwards (the adjoint), each by a ``dgtsv`` solve with ``lfilter``'s bits.
 
-A coverage loop reports one bit per (cell, alpha), so it draws its normals
-``VERDICT_STEP`` rows at a time and stops once no row still to come can flip
-any bit.  The order statistic that gives ``u*`` is bracketed by the sorted
-draws so far, widened by a bound on the rounding gap between the step
-products and the reference block products; covering is monotone in ``u*``,
-so a bit that agrees at both ends of its bracket is the bit the full draws
-give.  A loop with a bit still open takes the full path, so every covered
-count keeps its bits.
+The forward draw of a row of normals filters it into a multiplier path and
+dots the path with the summands d (``_ar1_filter``, a ``dgtsv`` solve with
+``lfilter``'s bits).  The same exact sum is the normals dotted with the
+adjoint row ``g = _adjoint_row(d, l_n)``, d filtered backwards once, so both
+``confidence_interval`` and ``coverage_experiment`` draw ``eps @ g`` and
+filter no block of paths.  Rounding still moves a draw, by at most a proven
+margin, and an output reads only one order statistic of the draws, so each
+path settles that value exactly:
+
+* ``confidence_interval`` sorts its adjoint draws and takes the cluster of
+  draws around the rank-th that lie within twice the margin of each other
+  (``_near_rows``), the margin (``_adjoint_margin``) bounding how far an
+  adjoint draw lies from its forward draw.  Only the blocks of normals that
+  hold cluster rows are drawn again, from their saved generator states, and
+  filtered forward; so ``u*`` has the bits of the forward draws, and a tie
+  cluster (constant counts, every draw 0) replays every block.
+* A coverage loop reports one bit per (cell, alpha), so it draws its normals
+  ``VERDICT_STEP`` rows at a time and stops once no row still to come can
+  flip any bit.  The order statistic that gives ``u*`` is bracketed by the
+  sorted draws so far, widened by a bound on the rounding gap between the
+  step products and the reference block products; covering is monotone in
+  ``u*``, so a bit that agrees at both ends of its bracket is the bit the
+  full draws give.  A loop with a bit still open takes the full path, so
+  every covered count keeps its bits.
 """
 from __future__ import annotations
 
@@ -100,8 +114,8 @@ def _check_l_n(l_n: float) -> None:
 
 
 # Elements in one block of normal rows (8 MB of float64; at least 16 rows, so
-# 12.8 MB at n = 1e5): the draws take O(n) memory whatever B is.  ``t_star``
-# filters a block in place, so it holds one block; a coverage loop filters none.
+# 12.8 MB at n = 1e5): the draws take O(n) memory whatever B is.  ``_draws``
+# holds one block and filters a replayed one in place; a coverage loop filters none.
 BLOCK_ELEMENTS = 2**20
 
 # Rows of normals a coverage loop draws between two looks at its verdicts
@@ -141,21 +155,60 @@ def _block_buffer(n: int, B: int) -> np.ndarray:
     return np.empty((min(max(16, BLOCK_ELEMENTS // n // 16 * 16), B), n))
 
 
-def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator) -> np.ndarray:
-    """``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d`` bit for bit, one block of
-    paths at a time.
+def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator,
+           rank: int) -> np.ndarray:
+    """B draws whose rank-th order statistic has the bits of the forward draws
+    ``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d``, one block of rows at a time.
 
-    A short last block matches wherever the one (B, n) product is itself
-    independent of the BLAS thread count.  The B draws are allocated first,
-    so a B that no memory holds fails before any normal is drawn.
+    Each block of normals times ``g = _adjoint_row(d, l_n)`` gives its draws in one
+    gemv, and the generator state at the block's start is kept.  Each adjoint draw
+    lies within ``_adjoint_margin`` of its forward draw, so only the rows
+    ``_near_rows`` names can hold the forward rank-th order statistic.  The blocks
+    that hold them are drawn again from their saved states and filtered forward,
+    as the forward loop draws them, and overwrite their rows.  Every other row,
+    adjoint or forward, lies strictly on its side of those rows' forward draws,
+    so the rank-th order statistic is the forward one.  A short last block
+    matches wherever the one (B, n) product is itself independent of the BLAS
+    thread count.  The B draws are allocated first, so a B that no memory holds
+    fails before any normal is drawn.
     """
     out = np.empty(B)
     buf = _block_buffer(len(d), B)
+    g = _adjoint_row(d, l_n)
+    starts, big = [], 0.0
     for r0 in range(0, B, len(buf)):
         eps = buf[:min(len(buf), B - r0)]
+        starts.append(rng.bit_generator.state)
+        rng.standard_normal(out=eps)
+        np.matmul(eps, g, out=out[r0:r0 + len(eps)])
+        big = max(big, eps.max(), -eps.min())  # no temporary the size of a block
+    abs_d = np.abs(d)
+    margin = _adjoint_margin(len(d), big, _adjoint_row(abs_d, l_n).sum(), abs_d.sum())
+    for block in np.unique(_near_rows(out, rank, margin) // len(buf)):
+        r0 = block * len(buf)
+        eps = buf[:min(len(buf), B - r0)]
+        rng.bit_generator.state = starts[block]
         rng.standard_normal(out=eps)
         np.matmul(_ar1_filter(eps, l_n), d, out=out[r0:r0 + len(eps)])
     return out
+
+
+def _near_rows(draws: np.ndarray, rank: int, margin: float) -> np.ndarray:
+    """Rows whose exact draws may hold the rank-th order statistic, each draw being
+    within ``margin`` of its exact one.
+
+    Sorted, the draws split at every gap wider than ``2 margin``; the piece that
+    holds the rank-th is the cluster.  A row below it has an exact draw below
+    ``p_lo - margin``, and every cluster row one at or above that, and likewise
+    above; so the cluster rows take the same ranks among the exact draws, and
+    the rank-th exact draw is one of theirs.
+    """
+    order = np.argsort(draws)
+    far = np.flatnonzero(np.diff(draws[order]) > 2.0 * margin)  # gap i: rows i, i+1
+    i = np.searchsorted(far, rank - 1)
+    lo = far[i - 1] + 1 if i else 0
+    hi = far[i] + 1 if i < len(far) else len(draws)
+    return order[lo:hi]
 
 
 def _adjoint_row(d: np.ndarray, l_n: float) -> np.ndarray:
@@ -174,13 +227,6 @@ def _summands(fit: TrendFit, N_n: int) -> np.ndarray:
     """Trend-weighted, window-centered log counts ``d`` with ``T* = w @ d``."""
     centered = fit.series_transformed - nn_means(fit.series_transformed, N_n)
     return trend_weights(fit.n) * centered
-
-
-def t_star(fit: TrendFit, cfg: BootstrapConfig, rng: np.random.Generator,
-           size: int) -> np.ndarray:
-    """``size`` bootstrap statistics: weighted, window-centered log counts
-    times fresh multiplier paths."""
-    return _draws(_summands(fit, cfg.N_n), cfg.l_n, size, rng)
 
 
 def t_star_variance(fit: TrendFit, cfg: BootstrapConfig) -> float:
@@ -218,8 +264,14 @@ def _half_width(u, n: int):
 def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> ConfidenceInterval:
     """Bootstrap confidence interval for the projection target.
 
-    Draws B bootstrap statistics from the (master_seed,) stream and inverts
-    the symmetric two-sided quantile at level 1 - alpha.
+    Draws B bootstrap statistics from the (master_seed, NS_BOOT) stream and
+    inverts the symmetric two-sided quantile at level 1 - alpha.  The draws
+    are the normals times the adjoint row, each within a proven rounding
+    margin of its forward draw (``_adjoint_margin``).  The blocks that hold
+    the cluster of draws within twice that margin around the rank-th are
+    replayed from their saved generator states and filtered forward
+    (``_draws``), so ``u*`` and the interval have the bits of the forward
+    draws, and no other block is filtered.
     """
     _check_shape(cfg.B, 1)
     if cfg.B < 200:
@@ -229,7 +281,7 @@ def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> Confidence
     for msg in cfg.regime_warnings(fit.n):
         warnings.warn(msg, stacklevel=2)
     rng = _rng.stream(master_seed, _rng.NS_BOOT)
-    draws = t_star(fit, cfg, rng, size=cfg.B)
+    draws = _draws(_summands(fit, cfg.N_n), cfg.l_n, cfg.B, rng, _rank(cfg.B, cfg.alpha))
     return _interval_from_draws(fit, draws, cfg.alpha)
 
 
@@ -256,18 +308,48 @@ class CoverageCell:
     B: int
 
 
+def _gamma(k: int) -> float:
+    """``gamma_k = k u / (1 - k u)``, with u the float64 unit roundoff: k roundings of one
+    term lie within a factor ``1 +- gamma_k`` of it (Higham 2002, section 3.1)."""
+    unit = 2.0**-53
+    return k * unit / (1.0 - k * unit)
+
+
 def _order_margin(n: int, big: float, g1: np.ndarray) -> np.ndarray:
     """Per cell, a bound on how far two summation orders of ``eps_b . g`` can differ.
 
     ``big`` bounds ``|eps_bt|`` and ``g1`` is ``||g||_1`` per cell.  Each order
-    lies within ``gamma_n sum_t |eps_bt g_t|`` of the exact sum, with
-    ``gamma_n = n u / (1 - n u)`` (Higham 2002, section 3.1), plus half the
+    lies within ``gamma_n sum_t |eps_bt g_t|`` of the exact sum, plus half the
     least subnormal per product that underflows.  The bound is doubled, which
     covers its own rounding and that of adding it to a draw.
     """
-    unit = 2.0**-53  # float64 unit roundoff
-    gamma = n * unit / (1.0 - n * unit)
-    return 2.0 * (2.0 * gamma * big * g1 + n * 2.0**-1074)
+    return 2.0 * (2.0 * _gamma(n) * big * g1 + n * 2.0**-1074)
+
+
+def _adjoint_margin(n: int, big: float, h1: float, d1: float) -> float:
+    """A bound on how far an adjoint draw ``eps_b . g`` lies from its forward draw.
+
+    ``big`` bounds ``|eps_bt|``, ``h1`` is the sum of ``h = _adjoint_row(|d|, l_n)``
+    and ``d1`` is ``||d||_1``.  With the same float ``phi`` and ``s`` (``s_0 = 1``),
+    both draws expand into the terms ``eps_r s_r phi^(t-r) d_t``, ``r <= t``, of one
+    exact sum.  Forward, a term takes one rounding in the scaling, at most
+    ``2(t-r)+1 <= 2n-1`` in the filter (a product and a sum per step; the back pass
+    of ``dgtsv`` divides by 1 and subtracts 0, exactly), one in its product with
+    ``d_t`` and at most ``n-1`` in any summation order of the dot product: at most
+    3n.  The adjoint draw takes at most ``2n-1`` in the backward filter, one in the
+    scaling, one in the product with ``eps_r`` and at most ``n-1`` in the sum.  So
+    each lies within ``gamma_3n sum_r |eps_br| h_r <= gamma_3n big h1`` of the exact
+    sum.  A product that underflows adds at most half the least subnormal ``eta``,
+    carried on by factors within ``1 + gamma_3n`` and by ``phi^k <= 1``: forward,
+    the 2n-2 products of the scaling and the filter each reach the draw through at
+    most ``||d||_1`` and the n of the dot product directly; adjoint, each of the
+    n-1 filter products through at most ``||eps_b||_1 <= n big``, the n-1 scalings
+    through ``big`` and the n dot products directly.  Together
+    ``2 eta (1 + gamma_3n) n (d1 + n big + 1)`` at most.  The bound is doubled,
+    which covers the factor ``1 + gamma_3n``, the rounding of h1, d1 and the bound
+    itself, and that of comparing draws against it.
+    """
+    return 2.0 * (2.0 * _gamma(3 * n) * big * h1 + n * 2.0**-1074 * (d1 + n * big + 1.0))
 
 
 def _settled(fit: TrendFit, draws: np.ndarray, B: int, ranks: np.ndarray,
@@ -334,8 +416,8 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
                     lo: int, hi: int) -> np.ndarray:
     """Covered counts of shape (len(cells), len(alphas)) for loops lo..hi-1.
 
-    Within a loop every cell reuses the trajectory and the normals of
-    ``t_star``'s stream; a cell's draws are ``eps @ _adjoint_row(d, l_n)``, so
+    Within a loop every cell reuses the trajectory and the normals of the
+    loop's bootstrap stream; a cell's draws are ``eps @ _adjoint_row(d, l_n)``, so
     one product serves all cells and no block is filtered.  Every alpha reads
     the same draws, which keeps the per-alpha intervals nested.  A loop draws
     its normals in steps of ``VERDICT_STEP`` rows and stops once every
@@ -365,7 +447,7 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
 
     The target is estimated once per (params, n) from ``theta_bar_loops``
     independent replicates.  One row per (l_n, N_n, alpha).  Loop i's draws
-    equal ``t_star`` on the (master_seed, NS_BOOT, i) stream up to rounding.
+    equal the forward draws on the (master_seed, NS_BOOT, i) stream up to rounding.
     A loop stops drawing once the rows drawn so far fix all its verdicts,
     bracketing each ``u*`` by order statistics widened by a rounding margin,
     and otherwise draws all B rows; either way a count is the one the full
@@ -380,6 +462,7 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
         for alpha in alphas:
             BootstrapConfig(l_n=l_n, N_n=N_n, B=B, alpha=alpha)
     _check_shape(B, len(cells))  # the (B, cells) draws of a chunk
+    np.empty((B, len(cells)))  # a B no memory holds fails here, not after the target
     t_seed = _rng.derive_seed(master_seed, _rng.NS_TARGET)
     theta_bar = theta_bar_mc(params, n, theta_bar_loops, t_seed, threads).theta_bar
     cells_t = tuple((float(l), int(w)) for l, w in cells)

@@ -158,14 +158,15 @@ def _exo_term(params: ModelParams, t: int, u_c):
     return params.exogenous.quantile(u_c)
 
 
-def _log_sigma(params: ModelParams, sigma_prev, x_prev, c_t):
-    """ln(sigma_t) of the recursion, for a scalar or per replicate."""
-    return params.a * np.log(sigma_prev) + params.b * np.log1p(x_prev) + c_t
+def _log_sigma(params: ModelParams, log_sigma_prev, log1p_x_prev, c_t):
+    """ln(sigma_t) of the recursion from ln(sigma_{t-1}) and ln(X_{t-1} + 1), for a
+    scalar or per replicate."""
+    return params.a * log_sigma_prev + params.b * log1p_x_prev + c_t
 
 
 def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
     """sigma_t of the recursion (scalar or per replicate); ExplosionError past the limit."""
-    log_sigma = _log_sigma(params, sigma_prev, x_prev, c_t)
+    log_sigma = _log_sigma(params, np.log(sigma_prev), np.log1p(x_prev), c_t)
     bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
     if np.any(bad):
         raise ExplosionError(t, float(np.ravel(log_sigma)[np.argmax(bad)]))
@@ -185,12 +186,15 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
     so the loop holds three (R, n+1) matrices: ``ys``, ``sig`` and ``xs``.
 
     Step t reads element t of one sequence per (R, n+1) matrix: at R = 1 the
-    rows as lists of floats, cheaper to index and written back after the loop;
-    at R > 1 views of the transposes, one column of replicates.  The loop
-    stores ln(sigma_t) in ``sig``; after it one check finds the earliest t past
+    rows as lists of floats, cheaper to index and written back after the loop,
+    and each ufunc result is taken as a Python float, whose arithmetic is the
+    same IEEE double arithmetic as numpy's but cheaper per scalar; at R > 1
+    views of the transposes, one column of replicates.  The loop stores
+    ln(sigma_t) in ``sig``; after it one check finds the earliest t past
     LOG_SIGMA_LIMIT (and its first replicate), and one ``np.exp`` turns columns
     1..n into sigma.  Every transcendental is a numpy ufunc, with the same bits
-    on a float and on any array, so a path never depends on R or its block.
+    on a float and on any array (``math``'s differ in the last bit), so a path
+    never depends on R or its block.
     """
     if n < 0:
         raise ConfigError("trajectory length must be >= 0")
@@ -205,7 +209,7 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
         cs[:, 1:] = params.exogenous.quantile(u[:, n + 1:])
     else:
         row = np.zeros(n + 1)
-        row[1:] = [_exo_term(params, t, None) for t in range(1, n + 1)]
+        row[1:] = [params.c * math.log(t) for t in range(1, n + 1)]  # _exo_term's trend
         cs = np.broadcast_to(row, (R, n + 1))
     del u
     sig = np.empty((R, n + 1))
@@ -214,13 +218,15 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms):
     xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
     # column 0 keeps sigma0 itself; columns 1..n hold ln(sigma_t) until the exp below
     log_sig, x, c, y = (a[0].tolist() if R == 1 else a.T for a in (sig, xs, cs, ys))
+    num = float if R == 1 else np.asarray  # np.asarray returns an array as it is
     sigma = log_sig[0]
     # past an explosion the loop steps inf and nan silently; the check below reports it
     with np.errstate(all="ignore"):
         for t in range(1, n + 1):
-            log_sig[t] = ls = _log_sigma(params, sigma, x[t - 1], c[t])
-            sigma = np.exp(ls)
-            x[t] = np.floor(sigma * y[t])
+            log_sig[t] = ls = _log_sigma(params, num(np.log(sigma)), num(np.log1p(x[t - 1])),
+                                         c[t])
+            sigma = num(np.exp(ls))
+            x[t] = num(np.floor(sigma * y[t]))
     if R == 1:
         sig[0], xs[0] = log_sig, x
     body = sig[:, 1:]

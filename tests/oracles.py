@@ -19,7 +19,14 @@ No program path calls them; they live here, beside the tests, and not in
   ``scipy.signal.lfilter`` call, the reference of ``bootstrap._ar1_solve``,
 * ``ar1_paths``, the AR(1) multiplier paths from one ``ar1_recursion`` call
   on a copy of the normals, the reference of ``bootstrap._ar1_filter`` and,
-  times the summands, of the draws of ``bootstrap._draws``,
+  times the summands, of the forward draws,
+* ``forward_draws`` and ``t_star``, the forward bootstrap draws: every block
+  of normals filtered into multiplier paths and dotted with the summands,
+  the reference of the order statistic that ``bootstrap._draws`` settles
+  exactly and of the adjoint draws within their rounding margin,
+* ``simulate``, the recursion with every step on ``np.float64`` scalars and
+  the trend row from ``process._exo_term``, the reference of
+  ``process.simulate``'s Python-float steps,
 * ``head_sum``, the dense TV head of one pair as one buffer of pmf
   differences summed by one numpy call, the reference of each partner's sum
   in ``innovations._head_sums``, and
@@ -31,7 +38,9 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from logcount.errors import ConfigError, NumericError
+from logcount import bootstrap, process
+from logcount import rng as _rng
+from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError, NumericError
 from logcount.innovations import DENSE_MAX, TAIL, ChiSquare, DiscretizedLaw, HalfCauchy
 
 
@@ -159,6 +168,63 @@ def ar1_paths(eps: np.ndarray, l_n: float) -> np.ndarray:
     v = math.sqrt(-math.expm1(-2.0 / l_n)) * eps
     v[:, 0] = eps[:, 0]
     return ar1_recursion(v, l_n)
+
+
+def forward_draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator) -> np.ndarray:
+    """``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d``, one block of paths at a time.
+
+    Each block of ``bootstrap._block_buffer`` rows is filtered in place and
+    multiplied by d in one gemv, so every row has the bits of the one (B, n)
+    product wherever that product is independent of the BLAS thread count.
+    """
+    out = np.empty(B)
+    buf = bootstrap._block_buffer(len(d), B)
+    for r0 in range(0, B, len(buf)):
+        eps = buf[:min(len(buf), B - r0)]
+        rng.standard_normal(out=eps)
+        np.matmul(bootstrap._ar1_filter(eps, l_n), d, out=out[r0:r0 + len(eps)])
+    return out
+
+
+def t_star(fit, cfg, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` forward bootstrap statistics: weighted, window-centered log counts
+    times fresh multiplier paths."""
+    return forward_draws(bootstrap._summands(fit, cfg.N_n), cfg.l_n, size, rng)
+
+
+def simulate(params, n: int, master_seed: int):
+    """(sigma, x, c_exo, y) rows of ``process.simulate``, stepped on ``np.float64`` scalars.
+
+    The same uniforms, quantiles and ufuncs as the program; each step is
+    ``a ln(sigma) + b ln(X + 1) + C`` with numpy scalar arithmetic, and the
+    trend row is one ``process._exo_term`` call per t.  Raises the
+    ``ExplosionError`` of the earliest t past ``LOG_SIGMA_LIMIT``.
+    """
+    iid = params.exogenous.kind == "iid"
+    width = 2 * n + 1 if iid else n + 1
+    u = _rng.stream(master_seed).random((1, width))[0]
+    ys = params.innovation.quantile(u[:n + 1])
+    cs = np.zeros(n + 1)
+    if iid:
+        cs[1:] = params.exogenous.quantile(u[n + 1:])
+    else:
+        cs[1:] = [process._exo_term(params, t, None) for t in range(1, n + 1)]
+    sig, xs = np.empty(n + 1), np.empty(n + 1)
+    sig[0] = params.sigma0
+    xs[0] = np.floor(sig[0] * ys[0])
+    log_sig, x, c, y = sig.tolist(), xs.tolist(), cs.tolist(), ys.tolist()
+    sigma = log_sig[0]
+    with np.errstate(all="ignore"):
+        for t in range(1, n + 1):
+            log_sig[t] = ls = params.a * np.log(sigma) + params.b * np.log1p(x[t - 1]) + c[t]
+            sigma = np.exp(ls)
+            x[t] = np.floor(sigma * y[t])
+    sig[:], xs[:] = log_sig, x
+    for t in range(1, n + 1):
+        if abs(sig[t]) > LOG_SIGMA_LIMIT:  # a NaN after an explosion is skipped
+            raise ExplosionError(t, float(sig[t]))
+    sig[1:] = np.exp(sig[1:])
+    return sig, xs, cs, ys
 
 
 def head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy import stats
 import logcount as lc
 from logcount import bootstrap
 from logcount.errors import ConfigError
-from oracles import ar1_paths, ar1_recursion
+from oracles import ar1_paths, ar1_recursion, forward_draws, t_star
 
 EXP = lc.Exponential(1.0)
 PARAMS = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=EXP)
@@ -115,13 +117,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("n, B", [(20_000, 200), (500, 500), (1000, 199)])
 def test_t_star_rows_match_one_call_multipliers(n, B):
-    # the row blocks of t_star give every draw the bits of one (B, n) product
+    # the row blocks of the forward draws give every draw the bits of one (B, n) product
     fit = lc.theta_hat(lc.simulate(PARAMS, n, 11).counts())
     cfg = lc.BootstrapConfig(l_n=10, N_n=30, B=B, alpha=0.1)
     x = fit.series_transformed
     d = lc.trend_weights(n) * (x - lc.nn_means(x, cfg.N_n))
     want = ar1_paths(np.random.default_rng(12).standard_normal((B, n)), cfg.l_n) @ d
-    got = lc.t_star(fit, cfg, np.random.default_rng(12), size=B)
+    got = t_star(fit, cfg, np.random.default_rng(12), size=B)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -318,7 +320,8 @@ def test_draws_match_one_lfilter_call(n, B):
     # the in-place filter solves one row block at a time; 20000 x 200 and
     # 100000 x 20 end on a short block.  The reference products take the
     # kernel's row blocks, so a row's bits do not hang on how BLAS splits a
-    # 20-row gemv between threads.
+    # 20-row gemv between threads.  The forward draws keep every row's bits,
+    # and the program's draws the bits of each order statistic they settle.
     l_ns = (10.0, 20.0)
     w = {l_n: ar1_paths(np.random.default_rng(15).standard_normal((B, n)), l_n) for l_n in l_ns}
     rows = max(16, bootstrap.BLOCK_ELEMENTS // n // 16 * 16)
@@ -334,14 +337,17 @@ def test_draws_match_one_lfilter_call(n, B):
     ds = [np.random.default_rng(16 + i).standard_normal(n) for i in range(2)]
     for l_n in l_ns:
         for d in ds:
-            got = bootstrap._draws(d, l_n, B, np.random.default_rng(15))
-            assert _same_bits(got, products(w[l_n], d))
+            want = products(w[l_n], d)
+            assert _same_bits(forward_draws(d, l_n, B, np.random.default_rng(15)), want)
+            rank = (B + 1) // 2
+            got = bootstrap._draws(d, l_n, B, np.random.default_rng(15), rank)
+            assert _same_bits(np.sort(got)[rank - 1:rank], np.sort(want)[rank - 1:rank])
     if n >= 2:  # a trend fit needs two observations
         fit = lc.theta_hat(np.random.default_rng(17).poisson(3.0, n))
         cfg = lc.BootstrapConfig(l_n=20.0, N_n=30, B=B, alpha=0.1)
         d = lc.trend_weights(n) * (fit.series_transformed
                                    - lc.nn_means(fit.series_transformed, cfg.N_n))
-        got = lc.t_star(fit, cfg, np.random.default_rng(15), size=B)
+        got = t_star(fit, cfg, np.random.default_rng(15), size=B)
         assert _same_bits(got, products(w[20.0], d))
 
 
@@ -368,14 +374,34 @@ def test_draws_that_fit_an_index_but_no_memory_fail_before_drawing():
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with pytest.raises(MemoryError):
-        bootstrap._draws(np.ones(60), 2.0, 2**59, rng)
+        bootstrap._draws(np.ones(60), 2.0, 2**59, rng, bootstrap._rank(2**59, 0.1))
     assert rng.bit_generator.state == state
+
+
+def test_coverage_b_no_memory_holds_fails_before_the_target(monkeypatch):
+    # one cell at 2**59 draws fits an array index but no address space: the
+    # (B, cells) draws are refused before theta_bar_mc draws a single row
+    calls = []
+    uniform_rows = bootstrap._rng.uniform_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return uniform_rows(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap._rng, "uniform_rows", counting)
+    with pytest.raises(MemoryError):
+        lc.coverage_experiment(PARAMS, 500, cells=[(10.0, 65)], alphas=[0.1], mc_loops=3,
+                               B=2**59, master_seed=1)
+    assert calls == []
+    lc.coverage_experiment(PARAMS, 60, cells=[(2.0, 5)], alphas=[0.1], mc_loops=3, B=50,
+                           master_seed=1, theta_bar_loops=16)
+    assert calls  # the wrapper sees the target's and the loops' rows
 
 
 def test_t_star_constant_series():
     fit = lc.theta_hat(np.full(150, 7))
     cfg = lc.BootstrapConfig(l_n=10, N_n=15, B=10, alpha=0.1)
-    draws = lc.t_star(fit, cfg, np.random.default_rng(1), size=256)
+    draws = t_star(fit, cfg, np.random.default_rng(1), size=256)
     assert np.all(draws == 0.0)
 
 
@@ -383,7 +409,7 @@ def test_t_star_conditionally_centered_gaussian():
     traj = lc.simulate(PARAMS, 500, 8)
     fit = lc.theta_hat(traj.counts())
     cfg = lc.BootstrapConfig(l_n=20, N_n=65, B=10_000, alpha=0.1)
-    draws = lc.t_star(fit, cfg, np.random.default_rng(5), size=10_000)
+    draws = t_star(fit, cfg, np.random.default_rng(5), size=10_000)
     B = len(draws)
     se_mean = draws.std(ddof=1) / math.sqrt(B)
     assert abs(draws.mean()) <= 3 * se_mean
@@ -397,7 +423,7 @@ def test_t_star_simulation_matches_exact_variance():
     traj = lc.simulate(PARAMS, 500, 9)
     fit = lc.theta_hat(traj.counts())
     cfg = lc.BootstrapConfig(l_n=20, N_n=65, B=20_000, alpha=0.1)
-    draws = lc.t_star(fit, cfg, np.random.default_rng(6), size=20_000)
+    draws = t_star(fit, cfg, np.random.default_rng(6), size=20_000)
     exact = lc.t_star_variance(fit, cfg)
     rel_se = math.sqrt(2.0 / (len(draws) - 1))
     assert draws.var(ddof=1) == pytest.approx(exact, rel=5 * rel_se)
@@ -505,6 +531,137 @@ def test_interval_degenerate_draws():
     ci = _interval_from_draws(fit, np.full(100, 2.0), 0.1)
     assert ci.u_star == 2.0
     assert ci.half_width == pytest.approx(2.0 / (math.sqrt(500) * math.log(500)))
+
+
+# ---------------------------------------------------------------------------
+# the exact order statistic: adjoint draws, a rounding margin, replayed blocks
+# ---------------------------------------------------------------------------
+
+def _interval_bits(ci):
+    return tuple(float(v).hex() for v in dataclasses.astuple(ci))
+
+
+def _forward_interval(x, cfg, seed):
+    """The interval that the forward draws of confidence_interval's stream give."""
+    fit = lc.theta_hat(x)
+    rng = bootstrap._rng.stream(seed, bootstrap._rng.NS_BOOT)
+    return bootstrap._interval_from_draws(fit, t_star(fit, cfg, rng, cfg.B), cfg.alpha)
+
+
+def _filtered_blocks(monkeypatch):
+    """Wrap _ar1_filter; returns the list of the row counts it filters, in order."""
+    rows = []
+    ar1_filter = bootstrap._ar1_filter
+
+    def counting(eps, l_n):
+        rows.append(len(eps))
+        return ar1_filter(eps, l_n)
+
+    monkeypatch.setattr(bootstrap, "_ar1_filter", counting)
+    return rows
+
+
+def _captured_near_rows(monkeypatch):
+    """Wrap _near_rows; returns the list of its (draws, rank, margin, rows), in order."""
+    seen = []
+    near_rows = bootstrap._near_rows
+
+    def capture(draws, rank, margin):
+        seen.append((draws.copy(), rank, margin, near_rows(draws, rank, margin)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(bootstrap, "_near_rows", capture)
+    return seen
+
+
+@pytest.mark.parametrize("l_n", [1e-3, 0.5, 10.0, 1e8])
+@pytest.mark.parametrize("n", [2, 3, 60, 1000, 20_000])
+def test_interval_has_the_bits_of_the_forward_draws(n, l_n):
+    # u*, lower, upper and half_width of every (B, alpha), against
+    # _interval_from_draws on the forward draws of the same stream; at
+    # n = 20000 a block holds 48 rows, so B = 200 ends on a short block
+    for seed in (0, 7):
+        x = lc.simulate(PARAMS, n, 40 + seed).counts()
+        fit = lc.theta_hat(x)
+        for B in (1, 2, 15, 16, 17, 200):
+            rng = bootstrap._rng.stream(seed, bootstrap._rng.NS_BOOT)
+            forward = t_star(fit, lc.BootstrapConfig(l_n=l_n, N_n=5, B=B, alpha=0.1), rng, B)
+            for alpha in (0.5, 0.1, 0.01):
+                cfg = lc.BootstrapConfig(l_n=l_n, N_n=5, B=B, alpha=alpha)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # low B, regime
+                    got = lc.confidence_interval(x, cfg, seed)
+                want = bootstrap._interval_from_draws(fit, forward, alpha)
+                assert _interval_bits(got) == _interval_bits(want)
+
+
+def test_constant_series_replays_every_block(monkeypatch):
+    # every draw is 0, so the cluster is every row: each block is drawn again
+    # and filtered forward, and u* is the forward draws' 0
+    n, B = 20_000, 200
+    x = np.full(n, 5)
+    cfg = lc.BootstrapConfig(l_n=2.0, N_n=5, B=B, alpha=0.1)
+    filtered = _filtered_blocks(monkeypatch)
+    seen = _captured_near_rows(monkeypatch)
+    ci = lc.confidence_interval(x, cfg, 3)
+    assert np.all(seen[0][0] == 0.0) and len(seen[0][-1]) == B
+    assert filtered == [48, 48, 48, 48, 8]
+    assert ci.u_star == 0.0 and ci.lower == ci.upper == ci.theta_hat
+    assert _interval_bits(ci) == _interval_bits(_forward_interval(x, cfg, 3))
+
+
+@pytest.mark.parametrize("margin_sd", [math.inf, 0.05])
+def test_multi_row_cluster_keeps_the_forward_bits(monkeypatch, margin_sd):
+    # a margin wider than the proven one is still a bound: at inf every row
+    # is one cluster, at 0.05 sd a few rows around the rank-th in more than
+    # one block; either way u* is the forward draws'
+    n, B = 20_000, 200
+    x = lc.simulate(PARAMS, n, 4).counts()
+    cfg = lc.BootstrapConfig(l_n=2.0, N_n=5, B=B, alpha=0.1)
+    sd = math.sqrt(lc.t_star_variance(lc.theta_hat(x), cfg))
+    monkeypatch.setattr(bootstrap, "_adjoint_margin", lambda *args: margin_sd * sd)
+    filtered = _filtered_blocks(monkeypatch)
+    seen = _captured_near_rows(monkeypatch)
+    ci = lc.confidence_interval(x, cfg, 9)
+    rows = seen[0][-1]
+    blocks = np.unique(rows // 48)
+    assert len(filtered) == len(blocks) > 1
+    assert len(rows) == B if margin_sd == math.inf else 1 < len(rows) < B
+    assert _interval_bits(ci) == _interval_bits(_forward_interval(x, cfg, 9))
+
+
+def test_long_series_interval_filters_at_most_one_block(monkeypatch):
+    # the benchmark's ci config: 13 blocks of 16 rows at n = 1e5, of which only
+    # the one that holds the rank-th draw is filtered forward
+    n = 100_000
+    x = lc.simulate(lc.ModelParams(a=0.1, b=0.1, c=0.5, innovation=EXP), n, 0).counts()
+    cfg = lc.BootstrapConfig(l_n=10.0, N_n=30, B=200, alpha=0.1)
+    filtered = _filtered_blocks(monkeypatch)
+    ci = lc.confidence_interval(x, cfg, 0)
+    assert len(filtered) <= 1
+    assert _interval_bits(ci) == _interval_bits(_forward_interval(x, cfg, 0))
+
+
+SUMMAND_SCALES = {
+    "unit": lambda n: 1.0,
+    "subnormal": lambda n: 1e-310,
+    "mixed": lambda n: 10.0 ** np.random.default_rng(n).uniform(-330.0, 0.0, n),
+}
+
+
+@pytest.mark.parametrize("scale", SUMMAND_SCALES.values(), ids=SUMMAND_SCALES.keys())
+@pytest.mark.parametrize("n, l_n", [(2, 1e-3), (3, 1e8), (60, 0.5), (1000, 10.0),
+                                    (20_000, 1e8), (20_000, 10.0)])
+def test_adjoint_draws_lie_within_their_margin_of_the_forward_draws(monkeypatch, n, l_n, scale):
+    # the margin is a proven bound, so it holds on every row: summands of unit
+    # size, summands whose products underflow, and both in one row
+    B = 200
+    d = scale(n) * np.random.default_rng(n + 1).standard_normal(n)
+    seen = _captured_near_rows(monkeypatch)
+    bootstrap._draws(d, l_n, B, np.random.default_rng(8), 100)
+    ((adjoint, _, margin, _),) = seen
+    forward = forward_draws(d, l_n, B, np.random.default_rng(8))
+    assert np.all(np.abs(adjoint - forward) <= margin)
 
 
 def test_low_b_warns():

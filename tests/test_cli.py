@@ -297,6 +297,14 @@ def test_ci_b_no_memory_can_hold_exits_2(files, capsys):
     assert "config error: the configured sizes need more memory" in capsys.readouterr().err
 
 
+def test_coverage_b_no_memory_can_hold_exits_2(files, capsys):
+    # one cell at 2**59 draws: refused by the allocation, before the target runs
+    config = {**CONTRACT_CONFIGS["coverage"], "B": 2**59, "theta_bar_loops": 20_000}
+    (files / "config.json").write_text(json.dumps(config))
+    assert cli.main(["coverage", "--config", str(files / "config.json")]) == 2
+    assert "config error: the configured sizes need more memory" in capsys.readouterr().err
+
+
 CONTRACT_CONFIGS = {
     "simulate": {"model": MODEL, "n": 5},
     "fit": {"data": "{dir}/counts.csv"},

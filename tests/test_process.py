@@ -8,6 +8,7 @@ import logcount as lc
 from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
 from logcount.process import _exo_term, _next_sigma, simulate_replicate_block
 from logcount.rng import CHUNK, NS_SIM, SPAN_ELEMENTS, span, stream, uniform_rows
+import oracles
 from oracles import support_bound
 
 EXP = lc.Exponential(1.0)
@@ -157,6 +158,56 @@ def test_simulate_iid_exogenous_runs():
     assert traj.n == 100
     assert np.all(traj.sigma > 0)
     assert np.std(traj.c_exo[1:]) > 0  # genuinely random exogenous terms
+
+
+FLOAT_STEP_LAWS = {law.family + ("" if getattr(law, "location", 0) == 0 else "-4"): law
+                   for law in (EXP, lc.HalfNormal(0.7), lc.HalfCauchy(0, 1), lc.HalfCauchy(4, 1),
+                               lc.ChiSquare(6))}
+FLOAT_STEP_EXO = {"trend": lc.ExogenousSpec(kind="trend"),
+                  "iid-normal": lc.ExogenousSpec(kind="iid", family="normal", mean=0.5, sd=0.2),
+                  "iid-uniform": lc.ExogenousSpec(kind="iid", family="uniform", mean=0.5,
+                                                  half_width=0.3)}
+
+
+def _float_step_params(law, kind):
+    exo = FLOAT_STEP_EXO[kind]
+    return lc.ModelParams(a=0.1, b=0.1, c=0.5 if exo.kind == "trend" else 0.0, innovation=law,
+                          exogenous=exo)
+
+
+def _assert_simulate_keeps_numpy_scalar_bits(params, n, seed):
+    traj = lc.simulate(params, n, seed)
+    want = oracles.simulate(params, n, seed)
+    for got, ref in zip((traj.sigma, traj.x, traj.c_exo, traj.y), want):
+        assert got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", FLOAT_STEP_EXO)
+@pytest.mark.parametrize("law", FLOAT_STEP_LAWS.values(), ids=FLOAT_STEP_LAWS.keys())
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_simulate_python_float_steps_keep_numpy_scalar_bits(law, kind, n):
+    # a path stepped on Python floats, with its trend row from math.log, is
+    # the path stepped on np.float64 scalars with one _exo_term call per t
+    _assert_simulate_keeps_numpy_scalar_bits(_float_step_params(law, kind), n, n + 31)
+
+
+@pytest.mark.parametrize("law, kind", [(law, "trend") for law in FLOAT_STEP_LAWS.values()]
+                         + [(EXP, "iid-normal"), (EXP, "iid-uniform")])
+def test_long_simulate_python_float_steps_keep_numpy_scalar_bits(law, kind):
+    _assert_simulate_keeps_numpy_scalar_bits(_float_step_params(law, kind), 100_000, 5)
+
+
+@pytest.mark.parametrize("params, n", [
+    (lc.ModelParams(a=0.1, b=0.1, c=100.0, innovation=EXP), 300),
+    (lc.ModelParams(a=0.9, b=0.05, c=0.0, innovation=lc.HalfCauchy(0, 1),
+                    exogenous=lc.ExogenousSpec(kind="iid", family="normal", mean=60.0,
+                                               sd=60.0)), 200)], ids=["trend", "iid"])
+def test_simulate_python_float_steps_explode_where_numpy_scalars_do(params, n):
+    with pytest.raises(ExplosionError) as want:
+        oracles.simulate(params, n, 3)
+    with pytest.raises(ExplosionError) as got:
+        lc.simulate(params, n, 3)
+    assert (got.value.t, got.value.log_sigma) == (want.value.t, want.value.log_sigma)
 
 
 # at n = 2000 the scalar steps (a block of one) and the column steps run long paths
