@@ -11,27 +11,21 @@ intervals for the projection target with half-width ``u* / (sqrt(n) ln n)``.
 The forward draw of a row of normals filters it into a multiplier path and
 dots the path with the summands d (``_ar1_filter``, a ``dgtsv`` solve with
 ``lfilter``'s bits).  The same exact sum is the normals dotted with the
-adjoint row ``g = _adjoint_row(d, l_n)``, d filtered backwards once, so both
-``confidence_interval`` and ``coverage_experiment`` draw ``eps @ g`` and
-filter no block of paths.  Rounding still moves a draw, by at most a proven
-margin, and an output reads only one order statistic of the draws, so each
-path settles that value exactly:
-
-* ``confidence_interval`` sorts its adjoint draws and takes the cluster of
-  draws around the rank-th that lie within twice the margin of each other
-  (``_near_rows``), the margin (``_adjoint_margin``) bounding how far an
-  adjoint draw lies from its forward draw.  Only the blocks of normals that
-  hold cluster rows are drawn again, from their saved generator states, and
-  filtered forward; so ``u*`` has the bits of the forward draws, and a tie
-  cluster (constant counts, every draw 0) replays every block.
-* A coverage loop reports one bit per (cell, alpha), so it draws its normals
-  ``VERDICT_STEP`` rows at a time and stops once no row still to come can
-  flip any bit.  The order statistic that gives ``u*`` is bracketed by the
-  sorted draws so far, widened by a bound on the rounding gap between the
-  step products and the reference block products; covering is monotone in
-  ``u*``, so a bit that agrees at both ends of its bracket is the bit the
-  full draws give.  A loop with a bit still open takes the full path, so
-  every covered count keeps its bits.
+adjoint row ``g = _adjoint_row(d, l_n)``, d filtered backwards once, so
+``confidence_interval`` and ``coverage_experiment`` share one path,
+``_draws``, that draws ``eps @ g`` and filters no block of paths.  Rounding
+still moves a draw, by at most a proven margin (``_adjoint_margin``), and an
+output reads only one order statistic of the forward draws, so the path
+settles that value exactly.  It draws the normals ``VERDICT_STEP`` rows at a
+time and, after each step, hands the rows so far and the margin to its
+caller, which may stop there: a coverage loop reports one bit per (cell,
+alpha), and once no row still to come can flip any bit (``_settled``) it
+draws no more.  Otherwise, after all B rows, the draws within twice the
+margin of the rank-th (``_near_rows``) are the only ones that can hold the
+forward order statistic; only the blocks of normals that hold them are drawn
+again from their saved generator states and filtered forward, so ``u*`` and
+every coverage verdict are those of the forward draws.  A tie cluster
+(constant counts, every draw 0) replays every block.
 """
 from __future__ import annotations
 
@@ -115,10 +109,10 @@ def _check_l_n(l_n: float) -> None:
 
 # Elements in one block of normal rows (8 MB of float64; at least 16 rows, so
 # 12.8 MB at n = 1e5): the draws take O(n) memory whatever B is.  ``_draws``
-# holds one block and filters a replayed one in place; a coverage loop filters none.
+# holds one block and filters a replayed one in place.
 BLOCK_ELEMENTS = 2**20
 
-# Rows of normals a coverage loop draws between two looks at its verdicts
+# Rows of normals ``_draws`` draws between two looks
 VERDICT_STEP = 32
 
 
@@ -155,42 +149,56 @@ def _block_buffer(n: int, B: int) -> np.ndarray:
     return np.empty((min(max(16, BLOCK_ELEMENTS // n // 16 * 16), B), n))
 
 
-def _draws(d: np.ndarray, l_n: float, B: int, rng: np.random.Generator,
-           rank: int) -> np.ndarray:
-    """B draws whose rank-th order statistic has the bits of the forward draws
-    ``_ar1_filter(rng.standard_normal((B, len(d))), l_n) @ d``, one block of rows at a time.
+def _draws(ds: Sequence[np.ndarray], l_ns: Sequence[float], ranks: Sequence[int], B: int,
+           rng: np.random.Generator, buf: np.ndarray):
+    """Yield looks ``(drawn, margin)`` at B draws per cell whose ``ranks`` order statistics
+    are those of the forward draws ``_ar1_filter(rng.standard_normal((B, n)), l_n) @ d``.
 
-    Each block of normals times ``g = _adjoint_row(d, l_n)`` gives its draws in one
-    gemv, and the generator state at the block's start is kept.  Each adjoint draw
-    lies within ``_adjoint_margin`` of its forward draw, so only the rows
-    ``_near_rows`` names can hold the forward rank-th order statistic.  The blocks
-    that hold them are drawn again from their saved states and filtered forward,
-    as the forward loop draws them, and overwrite their rows.  Every other row,
-    adjoint or forward, lies strictly on its side of those rows' forward draws,
-    so the rank-th order statistic is the forward one.  A short last block
-    matches wherever the one (B, n) product is itself independent of the BLAS
-    thread count.  The B draws are allocated first, so a B that no memory holds
-    fails before any normal is drawn.
+    ``drawn`` holds the first m draws, one column per cell (d, l_n), and every
+    rank's forward order statistic of a column lies in
+    ``[p_(rank-(B-m)) - margin, p_(rank) + margin]``, p the sorted column and an
+    end past the drawn rows infinite.  Each block of ``buf`` rows is filled
+    ``VERDICT_STEP`` rows at a time, which gives the bits of one call, and the
+    rows so far times each ``g = _adjoint_row(d, l_n)`` go to ``drawn``: each
+    draw lies within its cell's ``_adjoint_margin`` of its forward draw, and
+    the generator state at each block's start is kept.  After all B rows, only
+    the rows ``_near_rows`` names can hold a forward rank-th order statistic;
+    the blocks that hold them are drawn again from their saved states and
+    filtered forward, as the forward loop draws them, and overwrite their rows.
+    Every other row lies strictly on its side of those rows' forward draws, so
+    the last look has margin 0.  The looks are views of one array that later
+    looks overwrite, and the B draws are allocated first, so a B that no memory
+    holds fails before any normal is drawn.
     """
-    out = np.empty(B)
-    buf = _block_buffer(len(d), B)
-    g = _adjoint_row(d, l_n)
-    starts, big = [], 0.0
+    draws = np.empty((B, len(ds)))
+    n = buf.shape[1]
+    g = np.array([_adjoint_row(d, l_n) for d, l_n in zip(ds, l_ns)])
+    h1 = np.array([_adjoint_row(np.abs(d), l_n).sum() for d, l_n in zip(ds, l_ns)])
+    d1 = np.array([np.abs(d).sum() for d in ds])
+    starts, m, big = [], 0, 0.0
     for r0 in range(0, B, len(buf)):
         eps = buf[:min(len(buf), B - r0)]
         starts.append(rng.bit_generator.state)
-        rng.standard_normal(out=eps)
-        np.matmul(eps, g, out=out[r0:r0 + len(eps)])
-        big = max(big, eps.max(), -eps.min())  # no temporary the size of a block
-    abs_d = np.abs(d)
-    margin = _adjoint_margin(len(d), big, _adjoint_row(abs_d, l_n).sum(), abs_d.sum())
-    for block in np.unique(_near_rows(out, rank, margin) // len(buf)):
-        r0 = block * len(buf)
-        eps = buf[:min(len(buf), B - r0)]
-        rng.bit_generator.state = starts[block]
-        rng.standard_normal(out=eps)
-        np.matmul(_ar1_filter(eps, l_n), d, out=out[r0:r0 + len(eps)])
-    return out
+        for s0 in range(0, len(eps), VERDICT_STEP):
+            part = eps[s0:s0 + VERDICT_STEP]
+            rng.standard_normal(out=part)
+            np.matmul(part, g.T, out=draws[m:m + len(part)])
+            m += len(part)
+            big = max(big, part.max(), -part.min())  # no temporary the size of a step
+            margin = _adjoint_margin(n, big, h1, d1)
+            yield draws[:m], margin
+    for c, (d, l_n) in enumerate(zip(ds, l_ns)):
+        # a strided column as the gemv's out could leave the forward draws' bits
+        col = draws[:, c].copy()
+        rows = np.concatenate([_near_rows(col, rank, margin[c]) for rank in ranks])
+        for block in np.unique(rows // len(buf)):
+            r0 = block * len(buf)
+            eps = buf[:min(len(buf), B - r0)]
+            rng.bit_generator.state = starts[block]
+            rng.standard_normal(out=eps)
+            np.matmul(_ar1_filter(eps, l_n), d, out=col[r0:r0 + len(eps)])
+        draws[:, c] = col
+    yield draws, np.zeros(len(ds))
 
 
 def _near_rows(draws: np.ndarray, rank: int, margin: float) -> np.ndarray:
@@ -266,12 +274,9 @@ def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> Confidence
 
     Draws B bootstrap statistics from the (master_seed, NS_BOOT) stream and
     inverts the symmetric two-sided quantile at level 1 - alpha.  The draws
-    are the normals times the adjoint row, each within a proven rounding
-    margin of its forward draw (``_adjoint_margin``).  The blocks that hold
-    the cluster of draws within twice that margin around the rank-th are
-    replayed from their saved generator states and filtered forward
-    (``_draws``), so ``u*`` and the interval have the bits of the forward
-    draws, and no other block is filtered.
+    are the normals times the adjoint row, and the blocks that can hold the
+    rank-th forward draw are replayed and filtered forward (``_draws``), so
+    ``u*`` and the interval have the bits of the forward draws.
     """
     _check_shape(cfg.B, 1)
     if cfg.B < 200:
@@ -281,8 +286,9 @@ def confidence_interval(x, cfg: BootstrapConfig, master_seed: int) -> Confidence
     for msg in cfg.regime_warnings(fit.n):
         warnings.warn(msg, stacklevel=2)
     rng = _rng.stream(master_seed, _rng.NS_BOOT)
-    draws = _draws(_summands(fit, cfg.N_n), cfg.l_n, cfg.B, rng, _rank(cfg.B, cfg.alpha))
-    return _interval_from_draws(fit, draws, cfg.alpha)
+    *_, (draws, _) = _draws([_summands(fit, cfg.N_n)], [cfg.l_n], [_rank(cfg.B, cfg.alpha)],
+                            cfg.B, rng, _block_buffer(fit.n, cfg.B))
+    return _interval_from_draws(fit, draws[:, 0], cfg.alpha)
 
 
 def _interval_from_draws(fit: TrendFit, draws: np.ndarray, alpha: float) -> ConfidenceInterval:
@@ -315,17 +321,6 @@ def _gamma(k: int) -> float:
     return k * unit / (1.0 - k * unit)
 
 
-def _order_margin(n: int, big: float, g1: np.ndarray) -> np.ndarray:
-    """Per cell, a bound on how far two summation orders of ``eps_b . g`` can differ.
-
-    ``big`` bounds ``|eps_bt|`` and ``g1`` is ``||g||_1`` per cell.  Each order
-    lies within ``gamma_n sum_t |eps_bt g_t|`` of the exact sum, plus half the
-    least subnormal per product that underflows.  The bound is doubled, which
-    covers its own rounding and that of adding it to a draw.
-    """
-    return 2.0 * (2.0 * _gamma(n) * big * g1 + n * 2.0**-1074)
-
-
 def _adjoint_margin(n: int, big: float, h1: float, d1: float) -> float:
     """A bound on how far an adjoint draw ``eps_b . g`` lies from its forward draw.
 
@@ -347,25 +342,25 @@ def _adjoint_margin(n: int, big: float, h1: float, d1: float) -> float:
     through ``big`` and the n dot products directly.  Together
     ``2 eta (1 + gamma_3n) n (d1 + n big + 1)`` at most.  The bound is doubled,
     which covers the factor ``1 + gamma_3n``, the rounding of h1, d1 and the bound
-    itself, and that of comparing draws against it.
+    itself, and that of comparing draws against it.  It holds for any summation
+    order of the adjoint dot product, so a step's product needs no margin of its own.
     """
     return 2.0 * (2.0 * _gamma(3 * n) * big * h1 + n * 2.0**-1074 * (d1 + n * big + 1.0))
 
 
-def _settled(fit: TrendFit, draws: np.ndarray, B: int, ranks: np.ndarray,
+def _settled(fit: TrendFit, drawn: np.ndarray, B: int, ranks: np.ndarray,
              margin: np.ndarray, theta_bar: float) -> np.ndarray | None:
-    """Covered verdicts (cells, alphas) that no further row can change, or None.
+    """Covered verdicts (cells, alphas) of a look of ``_draws``, or None if one is still open.
 
-    ``draws`` holds the first m of B draws, one column per cell, each within
-    ``margin`` of the draw the reference block product gives.  With p the
-    sorted columns, the rank-th of all B draws lies in
-    ``[p_(rank-(B-m)) - margin, p_(rank) + margin]``, an end past the drawn
-    rows being infinite.  ``lower <= theta_bar <= upper`` holds on an upward
-    closed set of ``u* = max(S_(rank), 0)``, since the half-width rounds
-    monotonically, so a verdict that agrees at both ends is the full draws'.
+    The rank-th forward draw of each cell lies in
+    ``[p_(rank-(B-m)) - margin, p_(rank) + margin]``, p the m sorted drawn rows.
+    ``lower <= theta_bar <= upper`` holds on an upward closed set of
+    ``u* = max(S_(rank), 0)``, since the half-width rounds monotonically, so a
+    verdict that agrees at both ends is the forward draws'.  The last look
+    (margin 0) fixes every verdict.
     """
-    m, cells = draws.shape
-    q = np.concatenate([np.full((1, cells), -np.inf), np.sort(draws, axis=0),
+    m, cells = drawn.shape
+    q = np.concatenate([np.full((1, cells), -np.inf), np.sort(drawn, axis=0),
                         np.full((1, cells), np.inf)])
     ends = [np.maximum(q[np.maximum(ranks - (B - m), 0)] - margin, 0.0),
             np.maximum(q[np.minimum(ranks, m + 1)] + margin, 0.0)]
@@ -374,41 +369,14 @@ def _settled(fit: TrendFit, draws: np.ndarray, B: int, ranks: np.ndarray,
     return low.T if np.array_equal(low, high) else None
 
 
-def _loop_covered(fit: TrendFit, g: np.ndarray, alphas: tuple, B: int, theta_bar: float,
-                  rng: np.random.Generator, eps_buf: np.ndarray,
-                  draws: np.ndarray) -> np.ndarray:
-    """Covered verdicts (cells, alphas) of one loop whose cells have adjoint rows ``g``.
-
-    Each block of ``rng.standard_normal((B, n))`` is filled ``VERDICT_STEP``
-    rows at a time, which gives the bits of one call, and the rows drawn so far
-    times ``g.T`` go to ``draws``.  After each step ``_settled`` may fix every
-    verdict, and then no further normal is drawn: the stream is the loop's own,
-    so no other loop changes.  Otherwise the loop takes the full path, one
-    ``eps @ g.T`` per block and ``_interval_from_draws``.
-    """
+def _loop_covered(fit: TrendFit, ds: list, l_ns: list, alphas: tuple, B: int,
+                  theta_bar: float, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Covered verdicts (cells, alphas) of one loop: those of the first look of
+    ``_draws`` that ``_settled`` fixes.  No normal is drawn after it; the stream
+    is the loop's own, so no other loop changes."""
     ranks = np.array([_rank(B, alpha) for alpha in alphas])
-    g1 = np.abs(g).sum(axis=1)
-    blocks, m, big = [], 0, 0.0
-    for r0 in range(0, B, len(eps_buf)):
-        eps = eps_buf[:min(len(eps_buf), B - r0)]
-        for s0 in range(0, len(eps), VERDICT_STEP):
-            part = eps[s0:s0 + VERDICT_STEP]
-            rng.standard_normal(out=part)
-            np.matmul(part, g.T, out=draws[m:m + len(part)])
-            m += len(part)
-            big = max(big, part.max(), -part.min())  # no temporary the size of a step
-            covered = _settled(fit, draws[:m], B, ranks, _order_margin(g.shape[1], big, g1),
-                               theta_bar)
-            if covered is not None:
-                return covered
-        blocks.append(eps @ g.T)
-    full = np.concatenate(blocks)
-    covered = np.zeros((len(g), len(alphas)), dtype=bool)
-    for ci in range(len(g)):
-        for ai, alpha in enumerate(alphas):
-            ci_obj = _interval_from_draws(fit, full[:, ci], alpha)
-            covered[ci, ai] = ci_obj.lower <= theta_bar <= ci_obj.upper
-    return covered
+    return next(covered for drawn, margin in _draws(ds, l_ns, ranks, B, rng, buf)
+                if (covered := _settled(fit, drawn, B, ranks, margin, theta_bar)) is not None)
 
 
 def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
@@ -417,25 +385,22 @@ def _coverage_chunk(params: ModelParams, n: int, cells: tuple, alphas: tuple,
     """Covered counts of shape (len(cells), len(alphas)) for loops lo..hi-1.
 
     Within a loop every cell reuses the trajectory and the normals of the
-    loop's bootstrap stream; a cell's draws are ``eps @ _adjoint_row(d, l_n)``, so
-    one product serves all cells and no block is filtered.  Every alpha reads
-    the same draws, which keeps the per-alpha intervals nested.  A loop draws
-    its normals in steps of ``VERDICT_STEP`` rows and stops once every
-    verdict is fixed (``_loop_covered``); a verdict fixed early is, by its
-    rounding margin, the verdict of the full draws, so the counts keep their
-    bits.  The block buffer and the draws are made once per chunk: fresh
-    arrays per loop cost about 1900 page faults per loop at n = B = 500.
+    loop's bootstrap stream, and every alpha reads the same draws, which keeps
+    the per-alpha intervals nested.  Each verdict is the one the forward draws
+    give (``_loop_covered``), whether the loop stops early or replays blocks
+    after all B rows.  The block buffer is made once per chunk: a fresh one per
+    loop costs about 1900 page faults per loop at n = B = 500.
     """
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
     _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
-    eps_buf = _block_buffer(n, B)
-    draws = np.empty((B, len(cells)))
+    buf = _block_buffer(n, B)
+    l_ns = [l_n for l_n, _ in cells]
     for i in range(lo, hi):
         fit = theta_hat(xs[i - lo, 1:])
         ds = {N_n: _summands(fit, N_n) for N_n in {w for _, w in cells}}
-        g = np.array([_adjoint_row(ds[N_n], l_n) for l_n, N_n in cells])
         rng = _rng.stream(master_seed, _rng.NS_BOOT, i)
-        counts += _loop_covered(fit, g, alphas, B, theta_bar, rng, eps_buf, draws)
+        counts += _loop_covered(fit, [ds[N_n] for _, N_n in cells], l_ns, alphas, B, theta_bar,
+                                rng, buf)
     return counts
 
 
@@ -446,12 +411,12 @@ def coverage_experiment(params: ModelParams, n: int, cells: Sequence[tuple[float
     """Fraction of Monte Carlo loops whose interval covers the target.
 
     The target is estimated once per (params, n) from ``theta_bar_loops``
-    independent replicates.  One row per (l_n, N_n, alpha).  Loop i's draws
-    equal the forward draws on the (master_seed, NS_BOOT, i) stream up to rounding.
-    A loop stops drawing once the rows drawn so far fix all its verdicts,
-    bracketing each ``u*`` by order statistics widened by a rounding margin,
-    and otherwise draws all B rows; either way a count is the one the full
-    draws give, so the rows keep their bits.
+    independent replicates.  One row per (l_n, N_n, alpha).  Loop i counts
+    as covered where the interval that ``confidence_interval``'s forward draws
+    on the (master_seed, NS_BOOT, i) stream give holds the target.  A loop
+    stops drawing once the rows drawn so far fix all its verdicts, bracketing
+    each ``u*`` by order statistics widened by a rounding margin, and otherwise
+    settles each ``u*`` to the forward draws after all B rows.
     """
     validate(params)
     if mc_loops < 1:

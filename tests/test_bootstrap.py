@@ -195,6 +195,10 @@ class _CountingStream:
         self.rows += len(out)
         return self.gen.standard_normal(out=out)
 
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
 
 def _count_rows(monkeypatch):
     """Wrap every (seed, NS_BOOT, i) stream; returns the list of wrappers, in loop order."""
@@ -212,68 +216,81 @@ def _count_rows(monkeypatch):
     return made
 
 
-def _verdicts(monkeypatch, params, n, cells, alphas, B, theta_bar, seed, lo, hi, full=False):
-    """Per-loop covered verdicts of _coverage_chunk; ``full`` never settles a loop early."""
+def _verdicts(monkeypatch, params, n, cells, alphas, B, theta_bar, seed, lo, hi):
+    """Per-loop fits and covered verdicts (loops, cells, alphas) of _coverage_chunk."""
     out = []
     loop_covered = bootstrap._loop_covered
 
-    def record(*args):
-        out.append(loop_covered(*args))
-        return out[-1]
+    def record(fit, *args):
+        out.append((fit, loop_covered(fit, *args)))
+        return out[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(bootstrap, "_loop_covered", record)
-        if full:
-            m.setattr(bootstrap, "_settled", lambda *args: None)
         counts = bootstrap._coverage_chunk(params, n, tuple(cells), tuple(alphas), B, theta_bar,
                                            seed, lo, hi)
-    assert np.array_equal(counts, np.sum(out, axis=0))
-    return np.array(out)
+    verdicts = np.array([v for _, v in out])
+    assert np.array_equal(counts, verdicts.sum(axis=0))
+    return [fit for fit, _ in out], verdicts
+
+
+def _forward_intervals(fit, cells, alphas, B, seed, i):
+    """Per (cell, alpha), the interval that the forward draws of loop i's stream give."""
+    x = fit.series_transformed
+    intervals = []
+    for l_n, N_n in cells:
+        d = lc.trend_weights(fit.n) * (x - lc.nn_means(x, N_n))
+        forward = forward_draws(d, l_n, B, bootstrap._rng.stream(seed, bootstrap._rng.NS_BOOT, i))
+        intervals.append([bootstrap._interval_from_draws(fit, forward, alpha) for alpha in alphas])
+    return intervals
 
 
 @pytest.mark.parametrize("law, c, n, cells, alphas, loops, B, seed, target_loops, covered",
                          COVERAGE_PINS)
 def test_early_verdicts_equal_full_draw_verdicts(monkeypatch, law, c, n, cells, alphas, loops,
                                                  B, seed, target_loops, covered):
-    # every loop and (cell, alpha): the verdict fixed from the rows drawn so
-    # far is the one the full B rows give through _interval_from_draws
+    # every loop and (cell, alpha): the verdict, fixed early or after all B
+    # rows, is the one the interval of the forward draws of all B rows gives
     params = lc.ModelParams(a=0.1, b=0.1, c=c, innovation=law)
     t_seed = bootstrap._rng.derive_seed(seed, bootstrap._rng.NS_TARGET)
     theta_bar = lc.theta_bar_mc(params, n, target_loops, t_seed).theta_bar
-    args = (params, n, cells, alphas, B, theta_bar, seed, 0, loops)
-    early = _verdicts(monkeypatch, *args)
-    assert np.array_equal(early, _verdicts(monkeypatch, *args, full=True))
+    fits, early = _verdicts(monkeypatch, params, n, cells, alphas, B, theta_bar, seed, 0, loops)
+    full = [[[ci.lower <= theta_bar <= ci.upper for ci in row]
+             for row in _forward_intervals(fit, cells, alphas, B, seed, i)]
+            for i, fit in enumerate(fits)]
+    assert early.tolist() == full
     assert early.sum(axis=0).ravel().tolist() == covered
 
 
 @pytest.mark.parametrize("end", ["lower", "upper"])
-def test_verdict_at_an_interval_end_takes_the_full_path(monkeypatch, end):
-    # theta_bar on an end of loop 4's first interval, computed from the full
-    # draws: no rounding margin can settle that verdict, so the loop draws all
-    # B rows and counts what _interval_from_draws gives
-    cells, alphas, B = ((8.0, 20), (3.0, 10)), (0.1, 0.05), 300
-    intervals = []
-    interval = bootstrap._interval_from_draws
-
-    def capture(fit, draws, alpha):
-        intervals.append(interval(fit, draws, alpha))
-        return intervals[-1]
-
-    monkeypatch.setattr(bootstrap, "_interval_from_draws", capture)
-    args = (PARAMS, 120, cells, alphas, B)
-    _verdicts(monkeypatch, *args, 2.0, 99, 4, 5, full=True)
-    theta_bar = getattr(intervals[0], end)
-    full = _verdicts(monkeypatch, *args, theta_bar, 99, 4, 5, full=True)
-    del intervals[:]
+def test_verdicts_at_the_ends_of_forward_intervals_are_covered(monkeypatch, end):
+    # the first pin's config, loops 0-39: theta_bar on one end of a loop's
+    # forward interval, which holds its ends, for each cell and alpha.  No
+    # rounding margin can fix such a verdict early, so the loop draws all B
+    # rows and then replays blocks forward.  A verdict read from another
+    # rounding of the draws, such as the adjoint block products, can miss one
+    law, c, n, cells, alphas, _, B, seed, _, _ = COVERAGE_PINS[0]
+    params = lc.ModelParams(a=0.1, b=0.1, c=c, innovation=law)
+    loops = 40
+    fits, _ = _verdicts(monkeypatch, params, n, cells, alphas, B, 2.0, seed, 0, loops)
+    intervals = [_forward_intervals(fit, cells, alphas, B, seed, i) for i, fit in enumerate(fits)]
     streams = _count_rows(monkeypatch)
-    early = _verdicts(monkeypatch, *args, theta_bar, 99, 4, 5)
-    assert [s.rows for s in streams] == [B]
-    assert len(intervals) == len(cells) * len(alphas)  # the fallback ran
-    assert np.array_equal(early, full) and early[0, 0, 0]
+    filtered = _filtered_blocks(monkeypatch)
+    missed = []
+    for i in range(loops):
+        for ci, ai in np.ndindex(len(cells), len(alphas)):
+            del streams[:], filtered[:]
+            theta_bar = getattr(intervals[i][ci][ai], end)
+            _, verdicts = _verdicts(monkeypatch, params, n, cells, alphas, B, theta_bar, seed,
+                                    i, i + 1)
+            if not verdicts[0, ci, ai]:
+                missed.append((i, cells[ci], alphas[ai]))
+            assert filtered and [s.rows for s in streams] == [B + sum(filtered)]
+    assert missed == []
 
 
 def test_row_slices_of_a_block_draw_the_bits_of_one_call():
-    # _loop_covered fills a block VERDICT_STEP rows at a time
+    # _draws fills a block VERDICT_STEP rows at a time
     for rows, n in ((500, 500), (48, 20_000), (7, 3)):
         want = np.random.default_rng(21).standard_normal((rows, n))
         rng = np.random.default_rng(21)
@@ -297,8 +314,8 @@ def test_settled_loops_draw_fewer_rows(monkeypatch):
 
 
 def test_coverage_chunk_holds_one_normals_block():
-    # the cells share one block of normals and filter none of it: a second
-    # block, or a filtered copy of one, would break the bound
+    # the cells share one block of normals, which a replay filters in place:
+    # a second block, or a filtered copy of one, would break the bound
     n, B = 20_000, 200
     rows = len(bootstrap._block_buffer(n, B))
     assert rows < B
@@ -313,6 +330,12 @@ def test_coverage_chunk_holds_one_normals_block():
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _looks(d, l_n, B, rng, rank):
+    """Every look of bootstrap._draws for one cell and one rank, as (draws, margin) copies."""
+    looks = bootstrap._draws([d], [l_n], [rank], B, rng, bootstrap._block_buffer(len(d), B))
+    return [(drawn[:, 0].copy(), float(margin[0])) for drawn, margin in looks]
 
 
 @pytest.mark.parametrize("n, B", [(20_000, 200), (100_000, 20), (1, 5), (2, 3)])
@@ -340,7 +363,7 @@ def test_draws_match_one_lfilter_call(n, B):
             want = products(w[l_n], d)
             assert _same_bits(forward_draws(d, l_n, B, np.random.default_rng(15)), want)
             rank = (B + 1) // 2
-            got = bootstrap._draws(d, l_n, B, np.random.default_rng(15), rank)
+            got = _looks(d, l_n, B, np.random.default_rng(15), rank)[-1][0]
             assert _same_bits(np.sort(got)[rank - 1:rank], np.sort(want)[rank - 1:rank])
     if n >= 2:  # a trend fit needs two observations
         fit = lc.theta_hat(np.random.default_rng(17).poisson(3.0, n))
@@ -373,8 +396,10 @@ def test_draws_that_fit_an_index_but_no_memory_fail_before_drawing():
     # allocated first, so no normal is drawn
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
+    looks = bootstrap._draws([np.ones(60)], [2.0], [bootstrap._rank(2**59, 0.1)], 2**59, rng,
+                             bootstrap._block_buffer(60, 2**59))
     with pytest.raises(MemoryError):
-        bootstrap._draws(np.ones(60), 2.0, 2**59, rng, bootstrap._rank(2**59, 0.1))
+        next(looks)
     assert rng.bit_generator.state == state
 
 
@@ -619,7 +644,8 @@ def test_multi_row_cluster_keeps_the_forward_bits(monkeypatch, margin_sd):
     x = lc.simulate(PARAMS, n, 4).counts()
     cfg = lc.BootstrapConfig(l_n=2.0, N_n=5, B=B, alpha=0.1)
     sd = math.sqrt(lc.t_star_variance(lc.theta_hat(x), cfg))
-    monkeypatch.setattr(bootstrap, "_adjoint_margin", lambda *args: margin_sd * sd)
+    monkeypatch.setattr(bootstrap, "_adjoint_margin",
+                        lambda n, big, h1, d1: np.full(len(h1), margin_sd * sd))
     filtered = _filtered_blocks(monkeypatch)
     seen = _captured_near_rows(monkeypatch)
     ci = lc.confidence_interval(x, cfg, 9)
@@ -652,16 +678,17 @@ SUMMAND_SCALES = {
 @pytest.mark.parametrize("scale", SUMMAND_SCALES.values(), ids=SUMMAND_SCALES.keys())
 @pytest.mark.parametrize("n, l_n", [(2, 1e-3), (3, 1e8), (60, 0.5), (1000, 10.0),
                                     (20_000, 1e8), (20_000, 10.0)])
-def test_adjoint_draws_lie_within_their_margin_of_the_forward_draws(monkeypatch, n, l_n, scale):
-    # the margin is a proven bound, so it holds on every row: summands of unit
-    # size, summands whose products underflow, and both in one row
+def test_adjoint_draws_lie_within_their_margin_of_the_forward_draws(n, l_n, scale):
+    # the margin is a proven bound, so it holds on every row of every look
+    # before the replay: summands of unit size, summands whose products
+    # underflow, and both in one row
     B = 200
     d = scale(n) * np.random.default_rng(n + 1).standard_normal(n)
-    seen = _captured_near_rows(monkeypatch)
-    bootstrap._draws(d, l_n, B, np.random.default_rng(8), 100)
-    ((adjoint, _, margin, _),) = seen
+    looks = _looks(d, l_n, B, np.random.default_rng(8), 100)
     forward = forward_draws(d, l_n, B, np.random.default_rng(8))
-    assert np.all(np.abs(adjoint - forward) <= margin)
+    assert len(looks[-2][0]) == B
+    for adjoint, margin in looks[:-1]:
+        assert np.all(np.abs(adjoint - forward[:len(adjoint)]) <= margin)
 
 
 def test_low_b_warns():

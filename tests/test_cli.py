@@ -374,6 +374,33 @@ MODELS = st.one_of(
     pool(),
 )
 SEEDS = {"seed": pool(0, 3)}
+
+
+def one_key_mixed(valid, mixed):
+    """Configs of valid values, and the same with one key drawn from its mixed pool."""
+    base = st.fixed_dictionaries(valid)
+    return st.one_of(base, st.sampled_from(sorted(mixed)).flatmap(
+        lambda key: st.tuples(base, mixed[key]).map(lambda t: {**t[0], key: t[1]})))
+
+
+# small valid values of coverage's keys; a run at these sizes takes tens of ms
+COVERAGE_VALUES = {"a": (0.1, 0.3), "b": (0.1, 0.3), "c": (0, 2), "n": (2, 20, 60),
+                   "mc_loops": (1, 3), "B": (50, 1), "theta_bar_loops": (1, 16), "seed": (0, 3),
+                   "sigma0": (1, 2)}
+COVERAGE = one_key_mixed({
+    **{k: st.sampled_from(v) for k, v in COVERAGE_VALUES.items()},
+    "innovations": st.lists(st.sampled_from([
+        {"family": "exponential"}, {"family": "chi_square", "df": 3},
+        {"family": "half_cauchy", "location": 0, "scale": 1}]), min_size=1, max_size=2),
+    "cells": st.lists(st.tuples(st.sampled_from([2, 1]), st.sampled_from([5, 1])).map(list),
+                      min_size=1, max_size=2),
+    "alphas": st.lists(st.sampled_from([0.1, 0.05]), min_size=1, max_size=2),
+}, {
+    **{k: pool(*v) for k, v in COVERAGE_VALUES.items()},
+    "innovations": st.one_of(st.lists(INNOVATIONS, max_size=2), pool()),
+    "cells": st.one_of(st.lists(st.tuples(pool(2, 1), pool(5, 1)).map(list), max_size=2), pool()),
+    "alphas": st.one_of(st.lists(pool(0.1, 0.05), max_size=2), pool()),
+})
 PATHS = pool("{dir}/counts.csv", "{dir}/inf.csv", "{dir}", "{dir}/missing.csv")
 CONFIGS = st.one_of(
     st.tuples(st.just("simulate"), st.fixed_dictionaries(
@@ -388,6 +415,7 @@ CONFIGS = st.one_of(
         optional=SEEDS)),
     st.tuples(st.just("constants"), st.fixed_dictionaries(
         {"innovation": INNOVATIONS}, optional=SEEDS)),
+    st.tuples(st.just("coverage"), COVERAGE),
 )
 
 
@@ -402,9 +430,11 @@ def test_fuzzed_configs_exit_with_a_documented_code(files, command_config):
         warnings.simplefilter("always", UserWarning)
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
-    # a ci config with readable counts may draw the bootstrap's own warnings
+    # a ci config with readable counts may draw the bootstrap's own warnings;
+    # no other command warns
+    allowed = CI_WARNINGS if command == "ci" else ()
     for w in caught:
-        assert w.category is UserWarning and any(m in str(w.message) for m in CI_WARNINGS), w
+        assert w.category is UserWarning and any(m in str(w.message) for m in allowed), w
 
 
 # the UserWarnings of bootstrap.confidence_interval: a low B and its two
