@@ -348,7 +348,7 @@ def _adjoint_margin(n: int, big: float, h1: float, d1: float) -> float:
     return 2.0 * (2.0 * _gamma(3 * n) * big * h1 + n * 2.0**-1074 * (d1 + n * big + 1.0))
 
 
-def _settled(fit: TrendFit, drawn: np.ndarray, B: int, ranks: np.ndarray,
+def _settled(fit: TrendFit, drawn: np.ndarray, B: int, ranks: Sequence[int],
              margin: np.ndarray, theta_bar: float) -> np.ndarray | None:
     """Covered verdicts (cells, alphas) of a look of ``_draws``, or None if one is still open.
 
@@ -359,14 +359,18 @@ def _settled(fit: TrendFit, drawn: np.ndarray, B: int, ranks: np.ndarray,
     verdict that agrees at both ends is the forward draws'.  The last look
     (margin 0) fixes every verdict.
     """
-    m, cells = drawn.shape
-    q = np.concatenate([np.full((1, cells), -np.inf), np.sort(drawn, axis=0),
-                        np.full((1, cells), np.inf)])
-    ends = [np.maximum(q[np.maximum(ranks - (B - m), 0)] - margin, 0.0),
-            np.maximum(q[np.minimum(ranks, m + 1)] + margin, 0.0)]
-    low, high = ((fit.theta_hat - hw <= theta_bar) & (theta_bar <= fit.theta_hat + hw)
-                 for hw in (_half_width(u, fit.n) for u in ends))
-    return low.T if np.array_equal(low, high) else None
+    m, a = len(drawn), len(ranks)
+    # the 1-based drawn ranks of the lower ends, then of the upper ends
+    ks = [rank - (B - m) for rank in ranks] + [*ranks]
+    u = np.sort(drawn, axis=0)[[min(max(k, 1), m) - 1 for k in ks]]
+    u[:a] -= margin
+    u[a:] += margin
+    for j, k in enumerate(ks):
+        if not 1 <= k <= m:  # an end past the drawn rows
+            u[j] = -np.inf if j < a else np.inf
+    hw = _half_width(np.maximum(u, 0.0, out=u), fit.n)
+    covered = (fit.theta_hat - hw <= theta_bar) & (theta_bar <= fit.theta_hat + hw)
+    return covered[:a].T if np.array_equal(covered[:a], covered[a:]) else None
 
 
 def _loop_covered(fit: TrendFit, ds: list, l_ns: list, alphas: tuple, B: int,
@@ -374,7 +378,7 @@ def _loop_covered(fit: TrendFit, ds: list, l_ns: list, alphas: tuple, B: int,
     """Covered verdicts (cells, alphas) of one loop: those of the first look of
     ``_draws`` that ``_settled`` fixes.  No normal is drawn after it; the stream
     is the loop's own, so no other loop changes."""
-    ranks = np.array([_rank(B, alpha) for alpha in alphas])
+    ranks = [_rank(B, alpha) for alpha in alphas]
     return next(covered for drawn, margin in _draws(ds, l_ns, ranks, B, rng, buf)
                 if (covered := _settled(fit, drawn, B, ranks, margin, theta_bar)) is not None)
 

@@ -212,11 +212,12 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     off = 2 * (k + 1) + horizon
     uc = u[:, 2 * (k + 1): off]
 
-    def draws(i, width):
-        """Chain i's independent-phase columns of ``u``: its k+1 innovations,
-        then for the iid kind its k exogenous draws (a copy, as they are apart)."""
-        y_cols = u[:, i * (k + 1): (i + 1) * (k + 1)]
-        return np.hstack((y_cols, u[:, off + i * k: off + (i + 1) * k])) if iid else y_cols
+    def draws(i, out):
+        """Chain i's independent-phase columns of ``u`` into ``out``: its k+1
+        innovations, then for the iid kind its k exogenous draws."""
+        out[:, :k + 1] = u[:, i * (k + 1): (i + 1) * (k + 1)]
+        if iid:
+            out[:, k + 1:] = u[:, off + i * k: off + (i + 1) * k]
 
     def independent(i):
         """Chain i over t = 0..k; returns copies of (sigma_k, X_k), so its path is freed."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError
-from .process import ModelParams, simulate_replicate_block, validate
+from .process import ModelParams, _workspace, simulate_replicate_block, validate
 from .innovations import DistributionConstants
 
 # Default number of replicate fits that estimate the projection target.
@@ -114,22 +114,39 @@ def nn_means(transformed: np.ndarray, window: int) -> np.ndarray:
     return anchor + (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
 
 
-def _theta_chunk(params: ModelParams, n: int, master_seed: int, lo: int, hi: int) -> np.ndarray:
-    _, xs = simulate_replicate_block(params, n, master_seed, lo, hi)
+def _theta_span(params: ModelParams, n: int, master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Trend fits of replicates lo..hi-1, one ``CHUNK``-row block at a time.
+
+    Every block is stepped on one workspace and fitted by one (rows, n) @ logt
+    product, as each chunk of ``run_chunks`` would be, so the fits do not
+    depend on the span.  The C-ordered ln(X_t + 1) rows that the product
+    reads overwrite the block's sigma, which no fit reads.
+    """
     logt, denom = _log_time(n)
-    return np.log1p(xs[:, 1:]) @ logt / denom
+    ws = _workspace(params, n, min(hi - lo, _rng.CHUNK))
+    thetas = np.empty(hi - lo)
+    for b_lo, b_hi in _rng.chunk_bounds(hi - lo):
+        _, xs = simulate_replicate_block(params, n, master_seed, lo + b_lo, lo + b_hi, ws)
+        rows = np.log1p(xs[:, 1:], out=ws[:(b_hi - b_lo) * n].reshape(b_hi - b_lo, n))
+        thetas[b_lo:b_hi] = rows @ logt / denom
+    return thetas
 
 
 def ensemble_theta_hats(params: ModelParams, n: int, replicates: int, master_seed: int,
                         threads: int = 1) -> np.ndarray:
-    """Trend fits of independent replicate trajectories (one stream each)."""
+    """Trend fits of independent replicate trajectories (one stream each).
+
+    Each worker fits one span of whole chunks (``rng.span``); a span holds
+    one block's workspace and the fits, so its rows are not bounded by the
+    width of the paths.
+    """
     validate(params)
     if n < 2:
         raise ConfigError(f"need at least 2 observations to fit a trend, got {n}")
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    worker = partial(_theta_chunk, params, n, master_seed)
-    parts = _rng.run_chunks(worker, replicates, threads)
+    worker = partial(_theta_span, params, n, master_seed)
+    parts = _rng.run_chunks(worker, replicates, threads, chunk=_rng.span(replicates, threads, 1))
     return np.concatenate(parts)
 
 

@@ -18,7 +18,7 @@ of ``X`` grow at the same rate in ``sigma``.  This module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar, Union
 
@@ -324,13 +324,16 @@ def innovation_from_json(obj: dict) -> InnovationSpec:
     family = obj["family"]
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown innovation family {family!r}; expected one of {sorted(_FAMILIES)}")
-    flags = sorted(k for k, v in kwargs.items() if isinstance(v, bool))
-    if flags:  # float(True) is 1.0; a JSON boolean is no parameter value
-        raise ConfigError(f"bad parameters for innovation family {family!r}: "
-                          f"{flags} must be numbers, not booleans")
+    cls = _FAMILIES[family]
+    names = {f.name for f in fields(cls)}
+    for key, value in kwargs.items():
+        # float(True) is 1.0, but a JSON boolean is no parameter value either
+        if key in names and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"bad parameters for innovation family {family!r}: "
+                              f"{key!r} must be a number, got {value!r}")
     try:
-        return _FAMILIES[family](**kwargs)
-    except TypeError as exc:
+        return cls(**kwargs)
+    except (TypeError, OverflowError) as exc:  # an unknown key, or an int no double holds
         raise ConfigError(f"bad parameters for innovation family {family!r}: {exc}") from None
 
 

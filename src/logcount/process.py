@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -173,71 +172,119 @@ def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
     return np.exp(log_sigma)
 
 
-def _evolve(params: ModelParams, n: int, R: int, uniforms):
-    """The recursion over R replicates, in one loop for every R.
+# Most elements one quantile call transforms: ``_quantile_rows`` feeds the
+# innovation and exogenous quantiles a few time rows at a time, so that
+# their temporaries stay small beside a block's workspace.
+QUANTILE_SLAB = 2**13
 
-    ``uniforms(width)`` returns the (R, width) matrix of draws: column 0
-    seeds X_0 ~ law(sigma0), column t the innovation of step t, and for the
-    iid kind columns n+1.. the n exogenous draws, column n+t consumed at
-    step t.  The matrix lives only in this frame: it is dropped once the
-    innovations ``ys`` and the iid exogenous terms ``cs`` exist, before
-    ``sig`` and ``xs`` are allocated.  For the trend kind ``cs`` is a
-    broadcast view of one (n+1) row ``c ln t`` that every replicate shares,
-    so the loop holds three (R, n+1) matrices: ``ys``, ``sig`` and ``xs``.
 
-    Step t reads element t of one sequence per (R, n+1) matrix: at R = 1 the
-    rows as lists of floats, cheaper to index and written back after the loop,
-    and each ufunc result is taken as a Python float, whose arithmetic is the
-    same IEEE double arithmetic as numpy's but cheaper per scalar; at R > 1
-    views of the transposes, one column of replicates.  The loop stores
-    ln(sigma_t) in ``sig``; after it one check finds the earliest t past
-    LOG_SIGMA_LIMIT (and its first replicate), and one ``np.exp`` turns columns
-    1..n into sigma.  Every transcendental is a numpy ufunc, with the same bits
-    on a float and on any array (``math``'s differ in the last bit), so a path
-    never depends on R or its block.
+def _workspace(params: ModelParams, n: int, rows: int) -> np.ndarray:
+    """Flat float64 buffer for every matrix of a ``rows``-replicate ``_evolve``
+    block: three (n+1, rows) slots, four for the iid kind."""
+    slots = 4 if params.exogenous.kind == "iid" else 3
+    _check_shape(rows, slots * (n + 1))
+    return np.empty(slots * (n + 1) * rows)
+
+
+def _quantile_rows(quantile, u, out) -> None:
+    """``out[t] = quantile(u[t])`` for every row t of ``out``, in calls of at
+    most about ``QUANTILE_SLAB`` elements."""
+    step = max(QUANTILE_SLAB // max(out.shape[1], 1), 1)
+    for t in range(0, len(out), step):
+        out[t:t + step] = quantile(u[t:t + step])
+
+
+def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
+    """The recursion over R replicates.
+
+    ``uniforms(out)`` fills the C-ordered (R, width) matrix ``out`` with the
+    draws: column 0 seeds X_0 ~ law(sigma0), column t the innovation of step
+    t, and for the iid kind columns n+1.. the n exogenous draws, column n+t
+    consumed at step t.
+
+    Every matrix of the block lives in ``workspace`` (from ``_workspace``, or
+    a new one), in (n+1, R) slots stored time-major: row t of a slot holds
+    step t of every replicate.  The draws fill slot 0 (slots 0 and 1 for the
+    iid kind) as one (R, width) matrix; ``_quantile_rows`` turns them into
+    the innovations ``ys`` in the last slot and, for the iid kind, the
+    exogenous terms ``cs`` in slot 2.  ln(sigma) then overwrites slot 0 and X
+    fills slot 1.  For the trend kind ``cs`` is a broadcast view of one
+    (n+1) row ``c ln t`` that every replicate shares, so the block holds
+    three slots and the quantile's temporaries.  A caller that runs block
+    after block on one workspace reuses its pages; each block overwrites the
+    last.
+
+    At R = 1 step t reads element t of lists of floats, cheaper to index and
+    written back after the loop, and each ufunc result is taken as a Python
+    float, whose arithmetic is the same IEEE double arithmetic as numpy's but
+    cheaper per scalar.  At R > 1 step t reads row t-1 and writes row t of
+    each slot, contiguous rows of R replicates, with ``out=`` ufuncs in the
+    order of ``_log_sigma``.  The loop stores ln(sigma_t) in slot 0; after it
+    one check finds the earliest t past LOG_SIGMA_LIMIT (and its first
+    replicate), and one ``np.exp`` turns rows 1..n into sigma.  Every
+    transcendental is a numpy ufunc, with the same bits on a float and on any
+    array (``math``'s differ in the last bit), so a path never depends on R
+    or its block.
+
+    Returns (R, n+1) views ``sig``, ``xs``, ``cs``, ``ys`` (transposes of the
+    slots, and of the trend row's broadcast).
     """
     if n < 0:
         raise ConfigError("trajectory length must be >= 0")
     iid = params.exogenous.kind == "iid"
-    width = 2 * n + 1 if iid else n + 1
-    _check_shape(R, width)
+    width, m = (2 * n + 1 if iid else n + 1), n + 1
+    ws = _workspace(params, n, R) if workspace is None else workspace
+    slot = [ws[i * m * R:(i + 1) * m * R].reshape(m, R) for i in range(4 if iid else 3)]
     # neither the innovations nor the exogenous terms depend on the recursion
-    u = uniforms(width)
-    ys = params.innovation.quantile(u[:, :n + 1])
+    u = ws[:R * width].reshape(R, width)
+    uniforms(u)
+    y = slot[-1]
+    _quantile_rows(params.innovation.quantile, u[:, :m].T, y)
     if iid:
-        cs = np.zeros((R, n + 1))
-        cs[:, 1:] = params.exogenous.quantile(u[:, n + 1:])
+        c = slot[2]
+        c[0] = 0.0
+        _quantile_rows(params.exogenous.quantile, u[:, m:].T, c[1:])
+        cs = c.T
     else:
-        row = np.zeros(n + 1)
-        row[1:] = [params.c * math.log(t) for t in range(1, n + 1)]  # _exo_term's trend
-        cs = np.broadcast_to(row, (R, n + 1))
-    del u
-    sig = np.empty((R, n + 1))
-    xs = np.empty((R, n + 1))
-    sig[:, 0] = params.sigma0
-    xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
-    # column 0 keeps sigma0 itself; columns 1..n hold ln(sigma_t) until the exp below
-    log_sig, x, c, y = (a[0].tolist() if R == 1 else a.T for a in (sig, xs, cs, ys))
-    num = float if R == 1 else np.asarray  # np.asarray returns an array as it is
-    sigma = log_sig[0]
+        row = np.zeros(m)
+        row[1:] = [params.c * math.log(t) for t in range(1, m)]  # _exo_term's trend
+        c = row.tolist()
+        cs = np.broadcast_to(row, (R, m))
+    log_sig, x = slot[0], slot[1]  # the draws are spent
+    # row 0 keeps sigma0 itself; rows 1..n hold ln(sigma_t) until the exp below
+    log_sig[0] = params.sigma0
+    np.floor(np.multiply(log_sig[0], y[0], out=x[0]), out=x[0])
     # past an explosion the loop steps inf and nan silently; the check below reports it
     with np.errstate(all="ignore"):
-        for t in range(1, n + 1):
-            log_sig[t] = ls = _log_sigma(params, num(np.log(sigma)), num(np.log1p(x[t - 1])),
-                                         c[t])
-            sigma = num(np.exp(ls))
-            x[t] = num(np.floor(sigma * y[t]))
-    if R == 1:
-        sig[0], xs[0] = log_sig, x
-    body = sig[:, 1:]
+        if R == 1:
+            ls1, x1, y1 = log_sig[:, 0].tolist(), x[:, 0].tolist(), y[:, 0].tolist()
+            c1 = c[:, 0].tolist() if iid else c
+            sigma = ls1[0]
+            for t in range(1, m):
+                ls1[t] = ls = _log_sigma(params, float(np.log(sigma)), float(np.log1p(x1[t - 1])),
+                                         c1[t])
+                sigma = float(np.exp(ls))
+                x1[t] = float(np.floor(sigma * y1[t]))
+            log_sig[:, 0], x[:, 0] = ls1, x1
+        else:
+            sigma, lx = np.full(R, params.sigma0), np.empty(R)
+            a, b = params.a, params.b
+            for ls, x_prev, x_t, y_t, c_t in zip(log_sig[1:], x[:-1], x[1:], y[1:], c[1:]):
+                np.multiply(np.log(sigma, out=ls), a, out=ls)
+                np.multiply(np.log1p(x_prev, out=lx), b, out=lx)
+                np.add(ls, lx, out=ls)
+                np.add(ls, c_t, out=ls)
+                np.exp(ls, out=sigma)
+                np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
+    body = log_sig[1:]
     # fmax/fmin skip the NaNs that can follow an explosion, as the limit test does
     if (np.fmax.reduce(body, axis=None, initial=-np.inf) > LOG_SIGMA_LIMIT
             or np.fmin.reduce(body, axis=None, initial=np.inf) < -LOG_SIGMA_LIMIT):
         bad = np.abs(body) > LOG_SIGMA_LIMIT
-        t = int(bad.any(axis=0).argmax())
-        raise ExplosionError(t + 1, float(body[bad[:, t].argmax(), t]))
+        t = int(bad.any(axis=1).argmax())
+        raise ExplosionError(t + 1, float(body[t, bad[t].argmax()]))
     np.exp(body, out=body)
-    return sig, xs, cs, ys
+    return log_sig.T, x.T, cs, y.T
 
 
 def _check_shape(rows: int, width: int) -> None:
@@ -250,20 +297,23 @@ def _check_shape(rows: int, width: int) -> None:
 def simulate(params: ModelParams, n: int, master_seed: int) -> Trajectory:
     """Simulate (sigma_t, X_t) for t = 0..n, deterministically in the seed."""
     validate(params)
-    sig, xs, cs, ys = _evolve(
-        params, n, 1, lambda width: _rng.stream(master_seed).random((1, width)))
+    sig, xs, cs, ys = _evolve(params, n, 1, lambda out: _rng.stream(master_seed).random(out=out))
     # c_exo copies its row: a trend row is a read-only broadcast view
     return Trajectory(sigma=sig[0], x=xs[0], c_exo=np.array(cs[0]), y=ys[0])
 
 
 def simulate_replicate_block(params: ModelParams, n: int, master_seed: int,
-                             lo: int, hi: int):
+                             lo: int, hi: int, workspace=None):
     """Simulate replicates lo..hi-1, each from its own (seed, NS_SIM, r) stream.
 
-    Returns arrays of shape (hi-lo, n+1): sigma, x.
+    Returns (hi-lo, n+1) views sigma, x of time-major buffers.  With a
+    ``workspace`` (``_workspace(params, n, rows)``, rows >= hi-lo) they live
+    in it, sigma in its first (n+1) * (hi-lo) elements, until the next block
+    run on it.
     """
     sig, xs, _, _ = _evolve(params, n, hi - lo,
-                            partial(_rng.uniform_rows, master_seed, lo, hi))
+                            lambda out: _rng.uniform_rows(master_seed, lo, hi, out.shape[1], out),
+                            workspace)
     return sig, xs
 
 

@@ -20,12 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Fixed chunk width for replicate batches: the unit of scheduling, and the
-# unit of every float reduction.  Each replicate has its own stream and the
-# partial results are combined in chunk order, so results are identical for
-# any worker count; but a chunk's bits do depend on its width where it
-# reduces floats (BLAS gemv row partitions, float sums), so the width is
-# fixed and only ``span`` may merge chunks.
+# Fixed chunk width for replicate batches: the unit of every float
+# reduction.  Each replicate has its own stream and the partial results are
+# combined in chunk order, so results are identical for any worker count;
+# but a chunk's bits do depend on its width where it reduces floats (BLAS
+# gemv row partitions, float sums), so the width is fixed.  ``span`` may
+# merge chunks into one unit of scheduling: a caller that reduces floats
+# still steps and reduces its span one CHUNK-row block at a time, on one
+# workspace that every block of the span reuses.
 CHUNK = 512
 # Element budget of the (rows, width) uniform block of one span (2 MiB of
 # doubles); the coupling experiment peaks at about twice its block.
@@ -113,9 +115,11 @@ def _pcg64_states(entropy: list) -> list[tuple[int, int]]:
     return states
 
 
-def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
+def uniform_rows(master_seed: int, lo: int, hi: int, width: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of shape (hi-lo, width): row i holds the first ``width`` uniforms
-    of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``.
+    of replicate lo+i's stream ``(master_seed, NS_SIM, lo+i)``.  ``out``, a
+    C-ordered float64 array of that shape, receives them if given.
 
     Bit for bit ``stream(master_seed, NS_SIM, lo+i).random(width)``, without a
     SeedSequence or PCG64 per row: the rows are split into groups of at most
@@ -127,7 +131,7 @@ def uniform_rows(master_seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     """
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    u = np.empty((hi - lo, width))
+    u = np.empty((hi - lo, width)) if out is None else out
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     head = [*_words(int(master_seed)), NS_SIM]
@@ -156,7 +160,8 @@ def chunk_bounds(n_items: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
 
 
 def span(n_items: int, threads: int, width: int) -> int:
-    """Rows per span for a caller whose chunk results are exact integers.
+    """Rows per span for a caller whose chunk results are exact integers, or
+    that steps and reduces each ``CHUNK``-row block of its span on its own.
 
     At least one span per worker, and enough spans that a (rows, width)
     matrix stays within ``SPAN_ELEMENTS``; the items are shared out evenly
@@ -179,12 +184,13 @@ def run_chunks(worker: Callable[[int, int], object], n_items: int, threads: int 
     of one) when ``threads > 1``.  The returned list is ordered by chunk, so
     any reduction performed by the caller is independent of the worker count.
 
-    ``chunk`` defaults to ``CHUNK``, which every caller that reduces floats
-    must keep (``ensemble_theta_hats``): a row's float result can depend on
-    how many rows share its call.  A caller whose worker returns integer
-    counts may pass other chunks, because an integer sum does not depend on
-    how the rows are grouped: ``estimate_beta`` a wider ``span``,
-    ``coverage_experiment`` a narrower one so that every worker gets loops.
+    ``chunk`` defaults to ``CHUNK``.  A row's float result can depend on how
+    many rows share its call, so a worker that reduces floats over a wider
+    chunk reduces it ``CHUNK`` rows at a time (``ensemble_theta_hats`` over a
+    ``span``).  A caller whose worker returns integer counts may pass other
+    chunks, because an integer sum does not depend on how the rows are
+    grouped: ``estimate_beta`` a wider ``span``, ``coverage_experiment`` a
+    narrower one so that every worker gets loops.
     """
     bounds = chunk_bounds(n_items, chunk)
     if threads is None or threads <= 1 or len(bounds) <= 1:

@@ -27,6 +27,10 @@ No program path calls them; they live here, beside the tests, and not in
 * ``simulate``, the recursion with every step on ``np.float64`` scalars and
   the trend row from ``process._exo_term``, the reference of
   ``process.simulate``'s Python-float steps,
+* ``replicate_block`` and ``theta_chunk``, the recursion stepped on
+  (R, n+1) matrices one column of replicates at a time and each chunk's trend
+  fits from one fresh (R, n) matrix, the references of the time-major
+  ``process._evolve`` at every R and of ``estimation.ensemble_theta_hats``,
 * ``head_sum``, the dense TV head of one pair as one buffer of pmf
   differences summed by one numpy call, the reference of each partner's sum
   in ``innovations._head_sums``, and
@@ -225,6 +229,53 @@ def simulate(params, n: int, master_seed: int):
             raise ExplosionError(t, float(sig[t]))
     sig[1:] = np.exp(sig[1:])
     return sig, xs, cs, ys
+
+
+def replicate_block(params, n: int, master_seed: int, lo: int, hi: int):
+    """(sigma, x) of ``process.simulate_replicate_block``, stepped on (R, n+1) matrices.
+
+    The uniforms of ``rng.uniform_rows`` as one (R, width) matrix, the
+    quantiles over whole matrices, and step t reading and writing column t of
+    each matrix, ``a ln(sigma) + b ln(X + 1) + C`` on arrays of R replicates
+    (at R = 1 too).  Raises the ``ExplosionError`` of the earliest t past
+    ``LOG_SIGMA_LIMIT`` and its first replicate.
+    """
+    R = hi - lo
+    iid = params.exogenous.kind == "iid"
+    u = _rng.uniform_rows(master_seed, lo, hi, 2 * n + 1 if iid else n + 1)
+    ys = params.innovation.quantile(u[:, :n + 1])
+    cs = np.zeros((R, n + 1))
+    if iid:
+        cs[:, 1:] = params.exogenous.quantile(u[:, n + 1:])
+    else:
+        cs[:, 1:] = [params.c * math.log(t) for t in range(1, n + 1)]
+    sig = np.empty((R, n + 1))
+    xs = np.empty((R, n + 1))
+    sig[:, 0] = params.sigma0
+    xs[:, 0] = np.floor(sig[:, 0] * ys[:, 0])
+    log_sig, x, c, y = sig.T, xs.T, cs.T, ys.T
+    sigma = log_sig[0]
+    with np.errstate(all="ignore"):
+        for t in range(1, n + 1):
+            log_sig[t] = params.a * np.log(sigma) + params.b * np.log1p(x[t - 1]) + c[t]
+            sigma = np.exp(log_sig[t])
+            x[t] = np.floor(sigma * y[t])
+    body = sig[:, 1:]
+    bad = np.abs(body) > LOG_SIGMA_LIMIT  # a NaN after an explosion is skipped
+    if bad.any():
+        t = int(bad.any(axis=0).argmax())
+        raise ExplosionError(t + 1, float(body[bad[:, t].argmax(), t]))
+    sig[:, 1:] = np.exp(body)
+    return sig, xs
+
+
+def theta_chunk(params, n: int, master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Trend fits of replicates lo..hi-1 of one chunk: ``replicate_block``'s
+    ln(X_t + 1), t = 1..n, as one fresh (R, n) matrix times ln(t), over
+    ``sum_t ln(t)^2``."""
+    _, xs = replicate_block(params, n, master_seed, lo, hi)
+    logt = np.log(np.arange(1, n + 1, dtype=float))
+    return np.log1p(xs[:, 1:]) @ logt / float(logt @ logt)
 
 
 def head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:

@@ -373,15 +373,26 @@ MODELS = st.one_of(
                                 "sd": pool(0.3), "half_width": pool(0.2), "slope": pool(1)}))}),
     pool(),
 )
-SEEDS = {"seed": pool(0, 3)}
 
 
-def one_key_mixed(valid, mixed):
-    """Configs of valid values, and the same with one key drawn from its mixed pool."""
-    base = st.fixed_dictionaries(valid)
+def one_key_mixed(valid, mixed, optional=None):
+    """Configs of valid values (with any of the ``optional`` keys), and the same
+    with one key drawn from its mixed pool."""
+    base = st.fixed_dictionaries(valid, optional=optional or {})
     return st.one_of(base, st.sampled_from(sorted(mixed)).flatmap(
         lambda key: st.tuples(base, mixed[key]).map(lambda t: {**t[0], key: t[1]})))
 
+
+VALID_INNOVATIONS = [{"family": "exponential"}, {"family": "chi_square", "df": 3},
+                     {"family": "half_cauchy", "location": 0, "scale": 1}]
+VALID_MODELS = st.fixed_dictionaries(
+    {"a": st.sampled_from([0.1, 0.3]), "b": st.sampled_from([0.1, 0.3]),
+     "c": st.sampled_from([0, 2]), "innovation": st.sampled_from(VALID_INNOVATIONS)},
+    optional={"sigma0": st.sampled_from([1, 2]), "exogenous": st.sampled_from([
+        {"kind": "trend"}, {"kind": "iid", "family": "normal", "mean": 0.5, "sd": 0.3},
+        {"kind": "iid", "family": "uniform", "mean": 0, "half_width": 0.2}])})
+VALID_SEEDS = {"seed": st.sampled_from([0, 3])}
+SEEDS = {"seed": pool(0, 3)}
 
 # small valid values of coverage's keys; a run at these sizes takes tens of ms
 COVERAGE_VALUES = {"a": (0.1, 0.3), "b": (0.1, 0.3), "c": (0, 2), "n": (2, 20, 60),
@@ -389,9 +400,7 @@ COVERAGE_VALUES = {"a": (0.1, 0.3), "b": (0.1, 0.3), "c": (0, 2), "n": (2, 20, 6
                    "sigma0": (1, 2)}
 COVERAGE = one_key_mixed({
     **{k: st.sampled_from(v) for k, v in COVERAGE_VALUES.items()},
-    "innovations": st.lists(st.sampled_from([
-        {"family": "exponential"}, {"family": "chi_square", "df": 3},
-        {"family": "half_cauchy", "location": 0, "scale": 1}]), min_size=1, max_size=2),
+    "innovations": st.lists(st.sampled_from(VALID_INNOVATIONS), min_size=1, max_size=2),
     "cells": st.lists(st.tuples(st.sampled_from([2, 1]), st.sampled_from([5, 1])).map(list),
                       min_size=1, max_size=2),
     "alphas": st.lists(st.sampled_from([0.1, 0.05]), min_size=1, max_size=2),
@@ -401,21 +410,37 @@ COVERAGE = one_key_mixed({
     "cells": st.one_of(st.lists(st.tuples(pool(2, 1), pool(5, 1)).map(list), max_size=2), pool()),
     "alphas": st.one_of(st.lists(pool(0.1, 0.05), max_size=2), pool()),
 })
+# 600 replicates end a run's second 512-row block part way
+MC_BOXPLOT_VALUES = {"n": (2, 20, 60, [20, 60]), "replicates": (100, 600),
+                     "theta_bar_loops": (1, 600)}
+MC_BOXPLOT = one_key_mixed(
+    {"model": VALID_MODELS, "n": st.sampled_from(MC_BOXPLOT_VALUES["n"]),
+     "replicates": st.sampled_from(MC_BOXPLOT_VALUES["replicates"])},
+    {**{k: pool(*v) for k, v in MC_BOXPLOT_VALUES.items()}, **SEEDS, "model": MODELS},
+    {"theta_bar_loops": st.sampled_from(MC_BOXPLOT_VALUES["theta_bar_loops"]), **VALID_SEEDS})
+BOOTSTRAP_VALUES = {"l_n": (2, 1), "N_n": (5, 1), "B": (50, 1), "alpha": (0.1,)}
+BOOTSTRAPS = one_key_mixed({k: st.sampled_from(v) for k, v in BOOTSTRAP_VALUES.items()},
+                           {k: pool(*v) for k, v in BOOTSTRAP_VALUES.items()})
 PATHS = pool("{dir}/counts.csv", "{dir}/inf.csv", "{dir}", "{dir}/missing.csv")
+CURVE_PATHS = ["{dir}/curve.csv", "{dir}", None, 5, [5]]  # never a bare file name
 CONFIGS = st.one_of(
-    st.tuples(st.just("simulate"), st.fixed_dictionaries(
-        {"model": MODELS, "n": pool(0, 1, 5, 30)}, optional=SEEDS)),
-    st.tuples(st.just("fit"), st.fixed_dictionaries(
-        {"data": PATHS}, optional={**SEEDS, "model": MODELS, "theta_bar": pool(0.5),
-                                   "curve_out": st.sampled_from(  # never a bare file name
-                                       ["{dir}/curve.csv", "{dir}", None, 5, [5]])})),
-    st.tuples(st.just("ci"), st.fixed_dictionaries(
-        {"data": PATHS, "bootstrap": st.one_of(pool(), st.fixed_dictionaries(
-            {"l_n": pool(2, 1), "N_n": pool(5, 1), "B": pool(50, 1), "alpha": pool(0.1)}))},
-        optional=SEEDS)),
-    st.tuples(st.just("constants"), st.fixed_dictionaries(
-        {"innovation": INNOVATIONS}, optional=SEEDS)),
+    st.tuples(st.just("simulate"), one_key_mixed(
+        {"model": VALID_MODELS, "n": st.sampled_from([0, 1, 5, 30])},
+        {"model": MODELS, "n": pool(0, 1, 5, 30), **SEEDS}, VALID_SEEDS)),
+    st.tuples(st.just("fit"), one_key_mixed(
+        {"data": st.just("{dir}/counts.csv")},
+        {"data": PATHS, "model": MODELS, "theta_bar": pool(0.5),
+         "curve_out": st.sampled_from(CURVE_PATHS), **SEEDS},
+        {"model": VALID_MODELS, "theta_bar": st.just(0.5),
+         "curve_out": st.just(CURVE_PATHS[0]), **VALID_SEEDS})),
+    st.tuples(st.just("ci"), one_key_mixed(
+        {"data": st.just("{dir}/counts.csv"), "bootstrap": BOOTSTRAPS},
+        {"data": PATHS, "bootstrap": st.one_of(BOOTSTRAPS, pool()), **SEEDS}, VALID_SEEDS)),
+    st.tuples(st.just("constants"), one_key_mixed(
+        {"innovation": st.sampled_from(VALID_INNOVATIONS)},
+        {"innovation": INNOVATIONS, **SEEDS}, VALID_SEEDS)),
     st.tuples(st.just("coverage"), COVERAGE),
+    st.tuples(st.just("mc-boxplot"), MC_BOXPLOT),
 )
 
 

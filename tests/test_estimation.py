@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import logcount as lc
 from logcount.errors import ConfigError
 from logcount.process import simulate_replicate_block
+import oracles
 from oracles import loglog_sum_check, nn_mean
 
 EXP = lc.Exponential(1.0)
@@ -192,6 +193,36 @@ def test_theta_bar_chunk_holds_three_replicate_matrices(innovation):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * loops * (n + 1) * 8
+
+
+@pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(4.0, 1.0)],
+                         ids=["exponential", "half_cauchy_location_4"])
+def test_theta_bar_span_of_eight_chunks_holds_one_chunk_workspace(innovation):
+    # 4096 loops run as one span of eight 512-row blocks, which all reuse one
+    # block's workspace: the peak stays below the one-chunk bound
+    params = lc.ModelParams(a=0.1, b=0.1, c=2.0, innovation=innovation)
+    n, loops, chunk = 500, 4096, 512
+    lc.theta_bar_mc(params, 20, loops, 1)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        lc.theta_bar_mc(params, n, loops, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * chunk * (n + 1) * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("replicates", [1, 511, 513, 1100, 4096])
+def test_ensemble_fits_equal_the_per_chunk_fits(replicates, threads):
+    # each 512-row chunk, wherever a span ends, is fitted by one (rows, n)
+    # product with the bits of a fresh matrix of column-stepped paths
+    n = 200
+    got = lc.ensemble_theta_hats(PARAMS, n, replicates, 99, threads)
+    want = np.concatenate([oracles.theta_chunk(PARAMS, n, 99, lo, min(lo + 512, replicates))
+                           for lo in range(0, replicates, 512)])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("innovation", [EXP, lc.HalfCauchy(0.0, 1.0)],

@@ -262,6 +262,18 @@ def test_json_roundtrip():
         lc.innovation_from_json({"family": "poisson"})
     with pytest.raises(ConfigError):
         lc.innovation_from_json({"family": "exponential", "rate": 1.0, "typo": 2})
+    with pytest.raises(ConfigError):  # a JSON int that no double holds
+        lc.innovation_from_json({"family": "chi_square", "df": 10**400})
+
+
+@pytest.mark.parametrize("value", [None, "x", [3], True], ids=["null", "string", "list", "bool"])
+@pytest.mark.parametrize("family, key", [("exponential", "rate"), ("half_normal", "scale"),
+                                         ("half_cauchy", "location"), ("half_cauchy", "scale"),
+                                         ("chi_square", "df")])
+def test_json_parameter_that_is_no_number_is_named(family, key, value):
+    # the message names the key, not Python's TypeError text
+    with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+        lc.innovation_from_json({"family": family, key: value})
 
 
 # ---------------------------------------------------------------------------

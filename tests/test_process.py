@@ -175,11 +175,15 @@ def _float_step_params(law, kind):
                           exogenous=exo)
 
 
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _assert_simulate_keeps_numpy_scalar_bits(params, n, seed):
     traj = lc.simulate(params, n, seed)
     want = oracles.simulate(params, n, seed)
     for got, ref in zip((traj.sigma, traj.x, traj.c_exo, traj.y), want):
-        assert got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert _same_bits(got, ref)
 
 
 @pytest.mark.parametrize("kind", FLOAT_STEP_EXO)
@@ -226,6 +230,20 @@ def test_replicate_does_not_depend_on_its_block(params, n):
     for i in range(hi - lo):
         sig_1, xs_1 = simulate_replicate_block(params, n, 2024, lo + i, lo + i + 1)
         assert np.array_equal(sig[i], sig_1[0]) and np.array_equal(xs[i], xs_1[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("R", [1, 2, 511, 512, 513])
+@pytest.mark.parametrize("kind", ["trend", "iid-normal"])
+@pytest.mark.parametrize("law", FLOAT_STEP_LAWS.values(), ids=FLOAT_STEP_LAWS.keys())
+def test_time_major_block_keeps_the_column_steps_bits(law, kind, R, n):
+    # (n+1, R) rows stepped with out= ufuncs, or Python floats at R = 1, give
+    # the bits of (R, n+1) matrices stepped one column at a time
+    params = _float_step_params(law, kind)
+    lo = 1000 + R
+    sig, xs = simulate_replicate_block(params, n, 77, lo, lo + R)
+    want_sig, want_xs = oracles.replicate_block(params, n, 77, lo, lo + R)
+    assert _same_bits(sig, want_sig) and _same_bits(xs, want_xs)
 
 
 def _first_explosion(params, u_y, u_c):
@@ -297,6 +315,16 @@ def test_block_explosion_is_the_earliest_step_then_the_first_replicate(params):
     with pytest.raises(ExplosionError) as err:
         simulate_replicate_block(params, n, 3, lo, hi)
     assert (err.value.t, err.value.log_sigma) == expected
+
+
+@pytest.mark.parametrize("R", [1, 2, 511, 513])
+@pytest.mark.parametrize("params", [EXPLOSIVE, TOGETHER], ids=["staggered", "together"])
+def test_time_major_block_explodes_where_the_column_steps_do(params, R):
+    with pytest.raises(ExplosionError) as want:
+        oracles.replicate_block(params, 200, 5, 0, R)
+    with pytest.raises(ExplosionError) as got:
+        simulate_replicate_block(params, 200, 5, 0, R)
+    assert (got.value.t, got.value.log_sigma) == (want.value.t, want.value.log_sigma)
 
 
 @pytest.mark.parametrize("width", [0, 1, 92, 501])
