@@ -46,7 +46,6 @@ from .process import (
     Trajectory,
     simulate,
     theorem1_bound,
-    theoretical_autocovariance,
     validate,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "t_star_variance",
     "t_statistic",
     "theorem1_bound",
-    "theoretical_autocovariance",
     "theta_bar_mc",
     "theta_hat",
     "trend_weights",

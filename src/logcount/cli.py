@@ -356,6 +356,8 @@ def cmd_mixing(cfg: dict, seed: int, threads: int):
         raise ConfigError("mixing config takes 'n_grid' or 'n_max', not both")
     if "n_grid" in cfg:
         n_grid = _cast(lambda v: [_int(n) for n in _array(v)], cfg["n_grid"], "'n_grid'")
+        if len(set(n_grid)) < len(n_grid):  # the run keeps one row per gap
+            raise ConfigError(f"mixing needs distinct values of 'n_grid', got {n_grid}")
     elif "n_max" in cfg:
         n_grid = list(range(1, _cast(_int, cfg["n_max"], "'n_max'") + 1))
     else:

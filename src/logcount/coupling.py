@@ -13,8 +13,9 @@ it against lives with them, in ``tests/oracles.py``.  Running two feedback
 chains with independent pasts and coupling them from a cut-off time onward
 turns the fraction of replicates whose counts ever differ after a gap into
 a Monte Carlo upper bound on the mixing coefficient, which can then be
-compared to the analytic geometric bound.  The experiment only counts, so
-it steps worker-sized spans of replicates and keeps no paths.
+compared to the analytic geometric bound.  Both chains of a pair step
+through ``process._evolve``, the kernel of every path, as the halves of one
+block.  The experiment only counts, so it steps worker-sized spans.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigError
 from .innovations import _crossing_index, _discrete_quantile
-from .process import (ModelParams, _check_shape, _evolve, _exo_term, _next_sigma,
-                      _theorem1_brace, theorem1_bound, validate)
+from .process import (ModelParams, _check_shape, _evolve, _theorem1_brace, theorem1_bound,
+                      validate)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +201,13 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     """Replicates lo..hi-1 of the pair experiment: ``merged`` of shape (hi-lo, horizon),
     True where the coupled step t = k+1+j drew equal counts.
 
-    Only the current step of each chain is kept.  Every step is elementwise
-    per replicate, so a replicate's row does not depend on the rows it runs
-    with.
+    One ``_evolve`` block of 2R rows steps chain A in rows [0, R) and chain B
+    in rows [R, 2R) over t = 0..k+horizon, each on its own innovations and
+    exogenous draws up to t = k and on the pair's shared ones after it.  Its
+    ``draw`` hook floors ``sigma_t Y_t`` up to t = k, then draws both halves
+    from the pair's coupled uniform.  An explosion reports the earliest step
+    past the limit, chain A's rows before B's.  Every step is elementwise per
+    replicate, so a replicate's row does not depend on the rows it runs with.
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
@@ -211,28 +216,29 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
     u = _rng.uniform_rows(master_seed, lo, hi, width)
     off = 2 * (k + 1) + horizon
     uc = u[:, 2 * (k + 1): off]
+    m = k + horizon + 1
 
-    def draws(i, out):
-        """Chain i's independent-phase columns of ``u`` into ``out``: its k+1
-        innovations, then for the iid kind its k exogenous draws."""
-        out[:, :k + 1] = u[:, i * (k + 1): (i + 1) * (k + 1)]
-        if iid:
-            out[:, k + 1:] = u[:, off + i * k: off + (i + 1) * k]
-
-    def independent(i):
-        """Chain i over t = 0..k; returns copies of (sigma_k, X_k), so its path is freed."""
-        s_i, x_i, _, _ = _evolve(params, k, R, partial(draws, i))
-        return s_i[:, k].copy(), x_i[:, k].copy()
-
-    (sigma_a, x_a), (sigma_b, x_b) = independent(0), independent(1)
+    def uniforms(out):
+        """Chain A's columns of ``u`` into rows [0, R) of ``out``, B's into [R, 2R)."""
+        for i, half in enumerate((out[:R], out[R:])):
+            half[:, :k + 1] = u[:, i * (k + 1): (i + 1) * (k + 1)]
+            if iid:
+                half[:, m: m + k] = u[:, off + i * k: off + (i + 1) * k]
+                half[:, m + k:] = u[:, off + 2 * k:]  # shared across the pair
+        out[:, k + 1: m] = 0.0  # the coupled steps' innovations, which no step reads
 
     merged = np.empty((R, horizon), dtype=bool)
-    for j in range(horizon):
-        t = k + 1 + j
-        c_t = _exo_term(params, t, u[:, off + 2 * k + j] if iid else None)  # shared across the pair
-        sigma_a = _next_sigma(params, t, sigma_a, x_a, c_t)
-        sigma_b = _next_sigma(params, t, sigma_b, x_b, c_t)
-        x_a, x_b, merged[:, j] = _scaled_coupled(params.innovation, sigma_a, sigma_b, uc[:, j])
+
+    def draw(t, sigma, y_t, x_t):
+        """X_t of both halves: floor(sigma_t Y_t) up to t = k, then the coupled draw."""
+        if t <= k:
+            np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
+        else:
+            j = t - k - 1
+            x_t[:R], x_t[R:], merged[:, j] = _scaled_coupled(params.innovation, sigma[:R],
+                                                             sigma[R:], uc[:, j])
+
+    _evolve(params, k + horizon, 2 * R, uniforms, draw=draw)
     return merged
 
 

@@ -150,26 +150,10 @@ class Trajectory:
         return self.x[1:]
 
 
-def _exo_term(params: ModelParams, t: int, u_c):
-    """Exogenous term C_{t-1} entering ln(sigma_t); ``u_c`` drives the iid kind."""
-    if params.exogenous.kind == "trend":
-        return params.c * math.log(t)
-    return params.exogenous.quantile(u_c)
-
-
 def _log_sigma(params: ModelParams, log_sigma_prev, log1p_x_prev, c_t):
     """ln(sigma_t) of the recursion from ln(sigma_{t-1}) and ln(X_{t-1} + 1), for a
     scalar or per replicate."""
     return params.a * log_sigma_prev + params.b * log1p_x_prev + c_t
-
-
-def _next_sigma(params: ModelParams, t: int, sigma_prev, x_prev, c_t):
-    """sigma_t of the recursion (scalar or per replicate); ExplosionError past the limit."""
-    log_sigma = _log_sigma(params, np.log(sigma_prev), np.log1p(x_prev), c_t)
-    bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
-    if np.any(bad):
-        raise ExplosionError(t, float(np.ravel(log_sigma)[np.argmax(bad)]))
-    return np.exp(log_sigma)
 
 
 # Most elements one quantile call transforms: ``_quantile_rows`` feeds the
@@ -194,13 +178,19 @@ def _quantile_rows(quantile, u, out) -> None:
         out[t:t + step] = quantile(u[t:t + step])
 
 
-def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
+def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None, draw=None):
     """The recursion over R replicates.
 
     ``uniforms(out)`` fills the C-ordered (R, width) matrix ``out`` with the
     draws: column 0 seeds X_0 ~ law(sigma0), column t the innovation of step
     t, and for the iid kind columns n+1.. the n exogenous draws, column n+t
     consumed at step t.
+
+    ``draw(t, sigma, y_t, x_t)``, passed only by the pair experiment of
+    ``coupling``, replaces ``X_t = floor(sigma_t Y_t)`` in row ``x_t`` at
+    each step t >= 1; the innovation columns of its coupled steps, which no
+    step reads, hold 0.0.  Such a block steps rows at R = 1 too and stops at
+    the first step past LOG_SIGMA_LIMIT, so no ``draw`` sees an exploded scale.
 
     Every matrix of the block lives in ``workspace`` (from ``_workspace``, or
     a new one), in (n+1, R) slots stored time-major: row t of a slot holds
@@ -221,10 +211,10 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
     each slot, contiguous rows of R replicates, with ``out=`` ufuncs in the
     order of ``_log_sigma``.  The loop stores ln(sigma_t) in slot 0; after it
     one check finds the earliest t past LOG_SIGMA_LIMIT (and its first
-    replicate), and one ``np.exp`` turns rows 1..n into sigma.  Every
-    transcendental is a numpy ufunc, with the same bits on a float and on any
-    array (``math``'s differ in the last bit), so a path never depends on R
-    or its block.
+    replicate: the lowest row of ``out``), and one ``np.exp`` turns rows 1..n
+    into sigma.  Every transcendental is a numpy ufunc, with the same bits on
+    a float and on any array (``math``'s differ in the last bit), so a path
+    never depends on R or its block.
 
     Returns (R, n+1) views ``sig``, ``xs``, ``cs``, ``ys`` (transposes of the
     slots, and of the trend row's broadcast).
@@ -247,7 +237,7 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
         cs = c.T
     else:
         row = np.zeros(m)
-        row[1:] = [params.c * math.log(t) for t in range(1, m)]  # _exo_term's trend
+        row[1:] = [params.c * math.log(t) for t in range(1, m)]
         c = row.tolist()
         cs = np.broadcast_to(row, (R, m))
     log_sig, x = slot[0], slot[1]  # the draws are spent
@@ -256,7 +246,7 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
     np.floor(np.multiply(log_sig[0], y[0], out=x[0]), out=x[0])
     # past an explosion the loop steps inf and nan silently; the check below reports it
     with np.errstate(all="ignore"):
-        if R == 1:
+        if R == 1 and draw is None:
             ls1, x1, y1 = log_sig[:, 0].tolist(), x[:, 0].tolist(), y[:, 0].tolist()
             c1 = c[:, 0].tolist() if iid else c
             sigma = ls1[0]
@@ -269,22 +259,33 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None):
         else:
             sigma, lx = np.full(R, params.sigma0), np.empty(R)
             a, b = params.a, params.b
-            for ls, x_prev, x_t, y_t, c_t in zip(log_sig[1:], x[:-1], x[1:], y[1:], c[1:]):
+            steps = zip(log_sig[1:], x[:-1], x[1:], y[1:], c[1:])
+            for t, (ls, x_prev, x_t, y_t, c_t) in enumerate(steps, 1):
                 np.multiply(np.log(sigma, out=ls), a, out=ls)
                 np.multiply(np.log1p(x_prev, out=lx), b, out=lx)
                 np.add(ls, lx, out=ls)
                 np.add(ls, c_t, out=ls)
                 np.exp(ls, out=sigma)
-                np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
+                if draw is None:
+                    np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
+                elif _past_limit(ls):  # the check below reports it
+                    break
+                else:
+                    draw(t, sigma, y_t, x_t)
     body = log_sig[1:]
-    # fmax/fmin skip the NaNs that can follow an explosion, as the limit test does
-    if (np.fmax.reduce(body, axis=None, initial=-np.inf) > LOG_SIGMA_LIMIT
-            or np.fmin.reduce(body, axis=None, initial=np.inf) < -LOG_SIGMA_LIMIT):
+    if _past_limit(body):
         bad = np.abs(body) > LOG_SIGMA_LIMIT
         t = int(bad.any(axis=1).argmax())
         raise ExplosionError(t + 1, float(body[t, bad[t].argmax()]))
     np.exp(body, out=body)
     return log_sig.T, x.T, cs, y.T
+
+
+def _past_limit(log_sigma) -> bool:
+    """Whether any entry of ``log_sigma`` is past LOG_SIGMA_LIMIT; fmax/fmin skip
+    the NaNs that can follow an explosion, as the limit test does."""
+    return bool(np.fmax.reduce(log_sigma, axis=None, initial=-np.inf) > LOG_SIGMA_LIMIT
+                or np.fmin.reduce(log_sigma, axis=None, initial=np.inf) < -LOG_SIGMA_LIMIT)
 
 
 def _check_shape(rows: int, width: int) -> None:
@@ -336,21 +337,3 @@ def _theorem1_brace(params: ModelParams, k: DistributionConstants) -> float:
     return 2.0 * abs(math.log(params.sigma0)) + (
         2.0 * params.b * (k.p_sup + k.e_ln_plus) + 2.0 * params.exogenous.mean_abs_dev
     ) / (1.0 - params.a - params.b)
-
-
-def theoretical_autocovariance(params: ModelParams, u: int,
-                               constants: Optional[DistributionConstants] = None) -> float:
-    """Large-t limit of cov(ln(X_t+1), ln(X_{t-u}+1)).
-
-    At lag 0 this is ``Var(ln Y) * (b^2/(1-(a+b)^2) + 1)``; at lag u >= 1 it
-    is ``Var(ln Y) * (b^2 (a+b)^u / (1-(a+b)^2) + b (a+b)^{u-1})``.
-    """
-    if u < 0:
-        raise ConfigError("lag must be >= 0")
-    k = constants if constants is not None else validate(params)
-    ab = params.a + params.b
-    v = k.var_ln_y
-    if u == 0:
-        return v * (params.b**2 / (1.0 - ab**2) + 1.0)
-    return v * (params.b**2 * ab**u / (1.0 - ab**2) + params.b * ab ** (u - 1))
-

@@ -24,13 +24,23 @@ No program path calls them; they live here, beside the tests, and not in
   of normals filtered into multiplier paths and dotted with the summands,
   the reference of the order statistic that ``bootstrap._draws`` settles
   exactly and of the adjoint draws within their rounding margin,
+* ``exo_term`` and ``next_sigma``, one step of the recursion: the exogenous
+  term C_{t-1} and sigma_t with its explosion check,
 * ``simulate``, the recursion with every step on ``np.float64`` scalars and
-  the trend row from ``process._exo_term``, the reference of
-  ``process.simulate``'s Python-float steps,
+  the trend row from ``exo_term``, the reference of ``process.simulate``'s
+  Python-float steps,
+* ``first_explosion``, the earliest step past ``LOG_SIGMA_LIMIT`` by a plain
+  loop over replicate rows with a check at every step,
 * ``replicate_block`` and ``theta_chunk``, the recursion stepped on
   (R, n+1) matrices one column of replicates at a time and each chunk's trend
   fits from one fresh (R, n) matrix, the references of the time-major
   ``process._evolve`` at every R and of ``estimation.ensemble_theta_hats``,
+* ``coupled_chain_block``, the pair experiment as one ``process._evolve``
+  call per chain up to the cut-off, then the coupled steps one
+  ``next_sigma`` per chain at a time, the reference of
+  ``coupling._coupled_chain_block``'s single ``_evolve`` call,
+* ``theoretical_autocovariance``, the large-t limit of the autocovariance of
+  ln(X_t + 1) at a lag,
 * ``head_sum``, the dense TV head of one pair as one buffer of pmf
   differences summed by one numpy call, the reference of each partner's sum
   in ``innovations._head_sums``, and
@@ -42,7 +52,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from logcount import bootstrap, process
+from logcount import bootstrap, coupling, process
 from logcount import rng as _rng
 from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError, NumericError
 from logcount.innovations import DENSE_MAX, TAIL, ChiSquare, DiscretizedLaw, HalfCauchy
@@ -196,6 +206,22 @@ def t_star(fit, cfg, rng: np.random.Generator, size: int) -> np.ndarray:
     return forward_draws(bootstrap._summands(fit, cfg.N_n), cfg.l_n, size, rng)
 
 
+def exo_term(params, t: int, u_c):
+    """Exogenous term C_{t-1} entering ln(sigma_t); ``u_c`` drives the iid kind."""
+    if params.exogenous.kind == "trend":
+        return params.c * math.log(t)
+    return params.exogenous.quantile(u_c)
+
+
+def next_sigma(params, t: int, sigma_prev, x_prev, c_t):
+    """sigma_t of the recursion (scalar or per replicate); ExplosionError past the limit."""
+    log_sigma = params.a * np.log(sigma_prev) + params.b * np.log1p(x_prev) + c_t
+    bad = np.abs(log_sigma) > LOG_SIGMA_LIMIT
+    if np.any(bad):
+        raise ExplosionError(t, float(np.ravel(log_sigma)[np.argmax(bad)]))
+    return np.exp(log_sigma)
+
+
 def simulate(params, n: int, master_seed: int):
     """(sigma, x, c_exo, y) rows of ``process.simulate``, stepped on ``np.float64`` scalars.
 
@@ -212,7 +238,7 @@ def simulate(params, n: int, master_seed: int):
     if iid:
         cs[1:] = params.exogenous.quantile(u[n + 1:])
     else:
-        cs[1:] = [process._exo_term(params, t, None) for t in range(1, n + 1)]
+        cs[1:] = [exo_term(params, t, None) for t in range(1, n + 1)]
     sig, xs = np.empty(n + 1), np.empty(n + 1)
     sig[0] = params.sigma0
     xs[0] = np.floor(sig[0] * ys[0])
@@ -229,6 +255,25 @@ def simulate(params, n: int, master_seed: int):
             raise ExplosionError(t, float(sig[t]))
     sig[1:] = np.exp(sig[1:])
     return sig, xs, cs, ys
+
+
+def first_explosion(params, u_y, u_c):
+    """(t, ln sigma_t) of the earliest |ln sigma_t| past the limit, and of the first
+    row of ``u_y`` at that t, by a plain per-step loop with a check at every step
+    (iid kind: ``u_c`` holds the exogenous uniforms), or None."""
+    ys = params.innovation.quantile(u_y)
+    sigma = np.full(len(u_y), params.sigma0)
+    x = np.floor(sigma * ys[:, 0])
+    for t in range(1, u_y.shape[1]):
+        c = params.exogenous.quantile(u_c[:, t - 1])
+        log_sigma = params.a * np.log(sigma) + params.b * np.log1p(x) + c
+        bad = np.flatnonzero(np.abs(log_sigma) > LOG_SIGMA_LIMIT)
+        if len(bad):
+            return t, float(log_sigma[bad[0]])
+        sigma = np.exp(log_sigma)
+        with np.errstate(over="ignore"):  # a count may overflow just before an explosion
+            x = np.floor(sigma * ys[:, t])
+    return None
 
 
 def replicate_block(params, n: int, master_seed: int, lo: int, hi: int):
@@ -276,6 +321,63 @@ def theta_chunk(params, n: int, master_seed: int, lo: int, hi: int) -> np.ndarra
     _, xs = replicate_block(params, n, master_seed, lo, hi)
     logt = np.log(np.arange(1, n + 1, dtype=float))
     return np.log1p(xs[:, 1:]) @ logt / float(logt @ logt)
+
+
+def coupled_chain_block(params, k: int, horizon: int, master_seed: int, lo: int, hi: int):
+    """``merged`` of ``coupling._coupled_chain_block``, one chain and one step at a time.
+
+    Chain A, then chain B, runs over t = 0..k as its own ``process._evolve``
+    block, which checks its own explosions; then each coupled step takes
+    ``next_sigma`` of A, then of B, with the shared exogenous term, and draws
+    both counts from the pair's uniform by ``_scaled_coupled``.  Only the
+    current step of each chain is kept.
+    """
+    R = hi - lo
+    iid = params.exogenous.kind == "iid"
+    width = coupling._uniform_width(params, k, horizon)
+    u = _rng.uniform_rows(master_seed, lo, hi, width)
+    off = 2 * (k + 1) + horizon
+    uc = u[:, 2 * (k + 1): off]
+
+    def independent(i):
+        """Chain i over t = 0..k from its own columns of ``u``: (sigma_k, X_k)."""
+        def draws(out):
+            out[:, :k + 1] = u[:, i * (k + 1): (i + 1) * (k + 1)]
+            if iid:
+                out[:, k + 1:] = u[:, off + i * k: off + (i + 1) * k]
+
+        s_i, x_i, _, _ = process._evolve(params, k, R, draws)
+        return s_i[:, k].copy(), x_i[:, k].copy()
+
+    (sigma_a, x_a), (sigma_b, x_b) = independent(0), independent(1)
+    merged = np.empty((R, horizon), dtype=bool)
+    # a scale near the limit may overflow a heavy tail's search cap, silently
+    # as in the program's steps
+    with np.errstate(all="ignore"):
+        for j in range(horizon):
+            t = k + 1 + j
+            c_t = exo_term(params, t, u[:, off + 2 * k + j] if iid else None)
+            sigma_a = next_sigma(params, t, sigma_a, x_a, c_t)
+            sigma_b = next_sigma(params, t, sigma_b, x_b, c_t)
+            x_a, x_b, merged[:, j] = coupling._scaled_coupled(params.innovation, sigma_a,
+                                                              sigma_b, uc[:, j])
+    return merged
+
+
+def theoretical_autocovariance(params, u: int, constants=None) -> float:
+    """Large-t limit of cov(ln(X_t+1), ln(X_{t-u}+1)).
+
+    At lag 0 this is ``Var(ln Y) * (b^2/(1-(a+b)^2) + 1)``; at lag u >= 1 it
+    is ``Var(ln Y) * (b^2 (a+b)^u / (1-(a+b)^2) + b (a+b)^{u-1})``.
+    """
+    if u < 0:
+        raise ConfigError("lag must be >= 0")
+    k = constants if constants is not None else process.validate(params)
+    ab = params.a + params.b
+    v = k.var_ln_y
+    if u == 0:
+        return v * (params.b**2 / (1.0 - ab**2) + 1.0)
+    return v * (params.b**2 * ab**u / (1.0 - ab**2) + params.b * ab ** (u - 1))
 
 
 def head_sum(law1: DiscretizedLaw, law2: DiscretizedLaw, k: int) -> float:

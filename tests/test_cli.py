@@ -78,17 +78,32 @@ def test_mc_boxplot_summary_prints_plain_floats(tmp_path):
     assert float(fields["q1"]) <= float(fields["median"]) <= float(fields["q3"])
 
 
+def explosion_messages(tmp_path, capsys, command, config):
+    """stderr of ``command`` on ``config`` at --threads 1 and 2, each run exiting 4."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    messages = []
+    for threads in ("1", "2"):
+        code = cli.main([command, "--config", str(cfg), "--threads", threads])
+        messages.append(capsys.readouterr().err)
+        assert code == 4
+    return messages
+
+
 def test_explosion_in_a_pool_worker_exits_4_with_the_inline_message(tmp_path, capsys):
     # the worker's ExplosionError is pickled back to the parent; one that
     # failed to unpickle broke the pool and exited 1
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"model": {**MODEL, "c": 100}, "n": [300], "replicates": 1024,
-                               "theta_bar_loops": 1024}))
-    messages = []
-    for threads in ("1", "2"):
-        code = cli.main(["mc-boxplot", "--config", str(cfg), "--threads", threads])
-        messages.append(capsys.readouterr().err)
-        assert code == 4
+    messages = explosion_messages(tmp_path, capsys, "mc-boxplot", {
+        "model": {**MODEL, "c": 100}, "n": [300], "replicates": 1024, "theta_bar_loops": 1024})
+    assert messages[0] == messages[1]
+    assert "exploded at t=271" in messages[0]
+
+
+def test_mixing_explosion_exits_4_with_one_message_at_any_worker_count(tmp_path, capsys):
+    # the chains cross the limit in the coupled steps after k; at --threads 2
+    # the pairs run as two spans in two workers
+    messages = explosion_messages(tmp_path, capsys, "mixing", {
+        "model": {**MODEL, "c": 100}, "k": 200, "n_max": 80, "R": 20, "replicates": 1024})
     assert messages[0] == messages[1]
     assert "exploded at t=271" in messages[0]
 
@@ -211,6 +226,8 @@ def files(tmp_path_factory):
                   "n": 60.5, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
     # the summary is keyed by n, so a repeated n would lose a line
     ("mc-boxplot", {"model": MODEL, "n": [30, 30], "replicates": 100}, 2),
+    # the run writes one row per gap, so a repeated gap would lose a row
+    ("mixing", {"model": MODEL, "k": 3, "replicates": 20, "n_grid": [3, 1, 1]}, 2),
     # an empty list would run nothing and write a header without rows
     ("coverage", {"a": 0.1, "b": 0.1, "c": 2, "innovations": [],
                   "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 50}, 2),
@@ -418,6 +435,30 @@ MC_BOXPLOT = one_key_mixed(
      "replicates": st.sampled_from(MC_BOXPLOT_VALUES["replicates"])},
     {**{k: pool(*v) for k, v in MC_BOXPLOT_VALUES.items()}, **SEEDS, "model": MODELS},
     {"theta_bar_loops": st.sampled_from(MC_BOXPLOT_VALUES["theta_bar_loops"]), **VALID_SEEDS})
+# small valid values of mixing's keys: at most 64 pairs over k + n_max + R <= 15 steps
+MIXING_VALUES = {"k": (0, 5), "n_max": (1, 5), "R": (0, 5), "replicates": (1, 64)}
+MIXING_MIXED = {**{k: pool(*v) for k, v in MIXING_VALUES.items()}, **SEEDS, "model": MODELS,
+                "n_grid": st.one_of(st.lists(pool(1, 2, 5), max_size=3), pool())}
+MIXING_OPTIONAL = {"R": st.sampled_from(MIXING_VALUES["R"]), **VALID_SEEDS}
+MIXING_VALID = {"model": VALID_MODELS, "k": st.sampled_from(MIXING_VALUES["k"]),
+                "replicates": st.sampled_from(MIXING_VALUES["replicates"])}
+MIXING = st.one_of(
+    one_key_mixed({**MIXING_VALID, "n_max": st.sampled_from(MIXING_VALUES["n_max"])},
+                  MIXING_MIXED, MIXING_OPTIONAL),
+    one_key_mixed({**MIXING_VALID, "n_grid": st.lists(st.sampled_from([5, 1, 2]), min_size=1,
+                                                      max_size=3, unique=True)},
+                  MIXING_MIXED, MIXING_OPTIONAL))
+# at most 4 scales; a half-Cauchy pair with scale 200 sums the longest TV head
+TV_SIGMAS = st.lists(st.sampled_from([0.5, 1, 2, 5, 200]), min_size=1, max_size=4)
+TV_MIXED = {"innovation": INNOVATIONS, "innovations": st.one_of(st.lists(INNOVATIONS, max_size=2),
+                                                               pool()),
+            "sigmas": st.one_of(st.lists(pool(0.5, 1, 2, 5, 200), max_size=4), pool()), **SEEDS}
+TV_CHECK = st.one_of(
+    one_key_mixed({"innovation": st.sampled_from(VALID_INNOVATIONS), "sigmas": TV_SIGMAS},
+                  TV_MIXED, VALID_SEEDS),
+    one_key_mixed({"innovations": st.lists(st.sampled_from(VALID_INNOVATIONS), min_size=1,
+                                           max_size=2), "sigmas": TV_SIGMAS},
+                  TV_MIXED, VALID_SEEDS))
 BOOTSTRAP_VALUES = {"l_n": (2, 1), "N_n": (5, 1), "B": (50, 1), "alpha": (0.1,)}
 BOOTSTRAPS = one_key_mixed({k: st.sampled_from(v) for k, v in BOOTSTRAP_VALUES.items()},
                            {k: pool(*v) for k, v in BOOTSTRAP_VALUES.items()})
@@ -441,10 +482,12 @@ CONFIGS = st.one_of(
         {"innovation": INNOVATIONS, **SEEDS}, VALID_SEEDS)),
     st.tuples(st.just("coverage"), COVERAGE),
     st.tuples(st.just("mc-boxplot"), MC_BOXPLOT),
+    st.tuples(st.just("mixing"), MIXING),
+    st.tuples(st.just("tv-check"), TV_CHECK),
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(CONFIGS)
 def test_fuzzed_configs_exit_with_a_documented_code(files, command_config):
     command, config = command_config

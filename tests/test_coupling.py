@@ -8,8 +8,10 @@ from scipy import stats
 
 import logcount as lc
 from logcount.coupling import (_beta_chunk, _coupled_chain_block, _crossing_index,
-                               _first_true, _scaled_coupled)
-from logcount.rng import chunk_bounds
+                               _first_true, _scaled_coupled, _uniform_width)
+from logcount.errors import ExplosionError
+from logcount.rng import chunk_bounds, uniform_rows
+import oracles
 from oracles import dense_coupled, support_bound
 
 EXP = lc.Exponential(1.0)
@@ -332,6 +334,73 @@ def test_coupled_replicate_does_not_depend_on_its_block(params):
     for r in range(lo, hi):
         alone = _coupled_chain_block(params, k, n_max + truncation, 77, r, r + 1)
         assert np.array_equal(alone[0], merged[r - lo])
+
+
+PAIR_LAWS = {"exp": EXP, "halfnormal": HN, "hc": HC, "hc4": lc.HalfCauchy(4.0, 1.0),
+             "chi2": lc.ChiSquare(6)}
+PAIR_EXO = {"trend": lc.ExogenousSpec(kind="trend"),
+            "iid-normal": lc.ExogenousSpec(kind="iid", family="normal", mean=0.5, sd=0.3),
+            "iid-uniform": lc.ExogenousSpec(kind="iid", family="uniform", mean=0.5,
+                                            half_width=0.3)}
+
+
+@pytest.mark.parametrize("R", [1, 2, 513])
+@pytest.mark.parametrize("kind", PAIR_EXO)
+@pytest.mark.parametrize("law", PAIR_LAWS.values(), ids=PAIR_LAWS.keys())
+def test_pair_block_keeps_the_per_chain_steps_bits(law, kind, R):
+    # both chains as the two halves of one _evolve block, the coupled steps
+    # drawn by its hook, give the merges of one block per chain and then
+    # one hand-stepped coupled step at a time
+    exo = PAIR_EXO[kind]
+    params = lc.ModelParams(a=0.3, b=0.3, c=1.0 if exo.kind == "trend" else 0.0,
+                            innovation=law, exogenous=exo)
+    lo = 1000 + R
+    for k, horizon in ((5, 15), (0, 3)):
+        got = _coupled_chain_block(params, k, horizon, 77, lo, lo + R)
+        want = oracles.coupled_chain_block(params, k, horizon, 77, lo, lo + R)
+        assert got.shape == want.shape == (R, horizon)
+        assert np.array_equal(got, want)
+
+
+# drifting toward the limit, with exogenous noise so replicates cross at different steps
+EXPLOSIVE = lc.ModelParams(a=0.9, b=0.05, c=0.0, innovation=HC,
+                           exogenous=lc.ExogenousSpec(kind="iid", family="normal",
+                                                      mean=60.0, sd=60.0))
+
+
+def test_independent_phase_explosion_is_the_earliest_step_of_either_chain():
+    # chain B crosses the limit before chain A does; the block reports B's
+    # step, where the reference, which finishes chain A before it starts
+    # chain B, reports A's later one
+    k, horizon, seed, lo, hi = 200, 5, 3, 0, 40
+    u = uniform_rows(seed, lo, hi, _uniform_width(EXPLOSIVE, k, horizon))
+    off = 2 * (k + 1) + horizon
+    u_y = np.vstack((u[:, :k + 1], u[:, k + 1:2 * (k + 1)]))  # chain A's rows, then B's
+    u_c = np.vstack((u[:, off:off + k], u[:, off + k:off + 2 * k]))
+    expected = oracles.first_explosion(EXPLOSIVE, u_y, u_c)
+    assert oracles.first_explosion(EXPLOSIVE, u_y[:hi - lo], u_c[:hi - lo])[0] > expected[0]
+    with pytest.raises(ExplosionError) as got:
+        _coupled_chain_block(EXPLOSIVE, k, horizon, seed, lo, hi)
+    assert (got.value.t, got.value.log_sigma) == expected
+    with pytest.raises(ExplosionError) as ref:
+        oracles.coupled_chain_block(EXPLOSIVE, k, horizon, seed, lo, hi)
+    assert ref.value.t > expected[0]
+
+
+@pytest.mark.parametrize("R", [1, 40])
+@pytest.mark.parametrize("params,k,horizon", [
+    (EXPLOSIVE, 3, 200),
+    (lc.ModelParams(a=0.1, b=0.1, c=100.0, innovation=EXP), 200, 100),
+], ids=["iid", "trend"])
+def test_coupled_phase_explosion_matches_the_reference(params, k, horizon, R):
+    # past the cut-off both report the earliest coupled step past the limit,
+    # chain A before chain B, and the hook draws no step past it
+    with pytest.raises(ExplosionError) as want:
+        oracles.coupled_chain_block(params, k, horizon, 3, 0, R)
+    assert want.value.t > k
+    with pytest.raises(ExplosionError) as got:
+        _coupled_chain_block(params, k, horizon, 3, 0, R)
+    assert (got.value.t, got.value.log_sigma) == (want.value.t, want.value.log_sigma)
 
 
 def test_run_reproducible_and_sign_consistent():

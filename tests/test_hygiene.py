@@ -85,7 +85,6 @@ def names_used_by_the_program():
 
 # Public definitions that only the tests call, each kept for a reason.
 TEST_ONLY_PUBLIC = {
-    "theoretical_autocovariance": "paper math: the stationary autocovariance of ln(X_t + 1)",
     "t_star_variance": "paper math: the exact conditional variance of the bootstrap statistic",
 }
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import logcount as lc
-from logcount.errors import LOG_SIGMA_LIMIT, ConfigError, ExplosionError
-from logcount.process import _exo_term, _next_sigma, simulate_replicate_block
+from logcount.errors import ConfigError, ExplosionError
+from logcount.process import simulate_replicate_block
 from logcount.rng import CHUNK, NS_SIM, SPAN_ELEMENTS, span, stream, uniform_rows
 import oracles
 from oracles import support_bound
@@ -76,9 +76,9 @@ def test_exogenous_spec_rejects_fields_it_does_not_read(fields):
 # ---------------------------------------------------------------------------
 
 def step(params, t, sigma_prev, x_prev):
-    """(sigma_t, C_{t-1}) of the trend recursion, from the kernels every path steps."""
-    c_val = _exo_term(params, t, None)
-    return float(_next_sigma(params, t, sigma_prev, x_prev, c_val)), c_val
+    """(sigma_t, C_{t-1}) of the trend recursion, from the one-step reference."""
+    c_val = oracles.exo_term(params, t, None)
+    return float(oracles.next_sigma(params, t, sigma_prev, x_prev, c_val)), c_val
 
 
 def test_step_degenerate_recursion_is_pure_trend():
@@ -191,7 +191,7 @@ def _assert_simulate_keeps_numpy_scalar_bits(params, n, seed):
 @pytest.mark.parametrize("n", [0, 1, 2, 1000])
 def test_simulate_python_float_steps_keep_numpy_scalar_bits(law, kind, n):
     # a path stepped on Python floats, with its trend row from math.log, is
-    # the path stepped on np.float64 scalars with one _exo_term call per t
+    # the path stepped on np.float64 scalars with one oracles.exo_term call per t
     _assert_simulate_keeps_numpy_scalar_bits(_float_step_params(law, kind), n, n + 31)
 
 
@@ -246,24 +246,6 @@ def test_time_major_block_keeps_the_column_steps_bits(law, kind, R, n):
     assert _same_bits(sig, want_sig) and _same_bits(xs, want_xs)
 
 
-def _first_explosion(params, u_y, u_c):
-    """(t, ln sigma_t) of the earliest |ln sigma_t| past the limit, and of the first
-    replicate at that t, by a plain per-step loop with a check at every step."""
-    ys = params.innovation.quantile(u_y)
-    sigma = np.full(len(u_y), params.sigma0)
-    x = np.floor(sigma * ys[:, 0])
-    for t in range(1, u_y.shape[1]):
-        c = params.exogenous.quantile(u_c[:, t - 1])
-        log_sigma = params.a * np.log(sigma) + params.b * np.log1p(x) + c
-        bad = np.flatnonzero(np.abs(log_sigma) > LOG_SIGMA_LIMIT)
-        if len(bad):
-            return t, float(log_sigma[bad[0]])
-        sigma = np.exp(log_sigma)
-        with np.errstate(over="ignore"):  # a count may overflow just before an explosion
-            x = np.floor(sigma * ys[:, t])
-    return None
-
-
 # drifting toward the limit, with exogenous noise so replicates cross at different steps
 EXPLOSIVE = lc.ModelParams(a=0.9, b=0.05, c=0.0, innovation=lc.HalfCauchy(0, 1),
                            exogenous=lc.ExogenousSpec(kind="iid", family="normal",
@@ -290,7 +272,7 @@ def test_explosion_error_round_trips_through_pickle():
 def test_simulate_explosion_matches_per_step_oracle(seed):
     n = 200
     u = stream(seed).random((1, 2 * n + 1))
-    expected = _first_explosion(EXPLOSIVE, u[:, :n + 1], u[:, n + 1:])
+    expected = oracles.first_explosion(EXPLOSIVE, u[:, :n + 1], u[:, n + 1:])
     assert expected is not None
     with pytest.raises(ExplosionError) as err:
         lc.simulate(EXPLOSIVE, n, seed)
@@ -307,11 +289,11 @@ TOGETHER = lc.ModelParams(a=0.9, b=0.0, c=0.0, innovation=EXP,
 def test_block_explosion_is_the_earliest_step_then_the_first_replicate(params):
     n, lo, hi = 200, 0, 40
     u = uniform_rows(3, lo, hi, 2 * n + 1)
-    exploded = [e for e in (_first_explosion(params, u[r:r + 1, :n + 1], u[r:r + 1, n + 1:])
+    exploded = [e for e in (oracles.first_explosion(params, u[r:r + 1, :n + 1], u[r:r + 1, n + 1:])
                             for r in range(hi - lo)) if e is not None]
     assert len(set(exploded)) > 1  # the replicates cross at other steps or values
     expected = min(exploded, key=lambda e: e[0])  # the first replicate among ties
-    assert _first_explosion(params, u[:, :n + 1], u[:, n + 1:]) == expected
+    assert oracles.first_explosion(params, u[:, :n + 1], u[:, n + 1:]) == expected
     with pytest.raises(ExplosionError) as err:
         simulate_replicate_block(params, n, 3, lo, hi)
     assert (err.value.t, err.value.log_sigma) == expected
@@ -389,19 +371,19 @@ def test_theorem_bound_finite_at_zero_gap():
 def test_autocovariance_no_feedback():
     params = lc.ModelParams(a=0.0, b=0.0, c=2.0, innovation=EXP)
     consts = lc.validate(params)
-    assert lc.theoretical_autocovariance(params, 0, consts) == pytest.approx(consts.var_ln_y)
-    assert lc.theoretical_autocovariance(params, 1, consts) == 0.0
-    assert lc.theoretical_autocovariance(params, 7, consts) == 0.0
+    assert oracles.theoretical_autocovariance(params, 0, consts) == pytest.approx(consts.var_ln_y)
+    assert oracles.theoretical_autocovariance(params, 1, consts) == 0.0
+    assert oracles.theoretical_autocovariance(params, 7, consts) == 0.0
 
 
 def test_autocovariance_plugin_values():
     v = math.pi**2 / 6
-    assert lc.theoretical_autocovariance(PARAMS, 0) == pytest.approx(
+    assert oracles.theoretical_autocovariance(PARAMS, 0) == pytest.approx(
         v * (0.01 / 0.96 + 1), rel=1e-9)
-    assert lc.theoretical_autocovariance(PARAMS, 0) == pytest.approx(1.66207, abs=1e-5)
-    assert lc.theoretical_autocovariance(PARAMS, 1) == pytest.approx(
+    assert oracles.theoretical_autocovariance(PARAMS, 0) == pytest.approx(1.66207, abs=1e-5)
+    assert oracles.theoretical_autocovariance(PARAMS, 1) == pytest.approx(
         v * (0.01 * 0.2 / 0.96 + 0.1), rel=1e-9)
-    assert lc.theoretical_autocovariance(PARAMS, 1) == pytest.approx(0.167921, abs=1e-5)
+    assert oracles.theoretical_autocovariance(PARAMS, 1) == pytest.approx(0.167921, abs=1e-5)
 
 
 def test_empirical_autocovariance_approaches_theory():
@@ -413,7 +395,7 @@ def test_empirical_autocovariance_approaches_theory():
     consts = lc.validate(PARAMS)
     for u in (0, 1, 2):
         emp = float(np.cov(l[:, t], l[:, t - u])[0, 1])
-        theory = lc.theoretical_autocovariance(PARAMS, u, consts)
+        theory = oracles.theoretical_autocovariance(PARAMS, u, consts)
         se = consts.var_ln_y * 3 / math.sqrt(6000)
         assert emp == pytest.approx(theory, abs=4 * se)
 
