@@ -42,11 +42,12 @@ def _first_true(lo: np.ndarray, hi: np.ndarray, pred):
     Above 2**53 not every integer is a float: the midpoint is kept below
     ``hi`` and ``lo`` advances to at least the next float, so each open
     bracket shrinks on every pass and the search ends on a representable k.
+    The midpoint halves before it adds, which is exact and cannot overflow.
     """
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
     while np.any(open_ := lo < hi):
-        mid = np.minimum(np.floor((lo + hi) / 2.0), np.nextafter(hi, 0.0))
+        mid = np.minimum(np.floor(lo / 2.0 + hi / 2.0), np.nextafter(hi, 0.0))
         t = pred(mid)
         lo = np.where(open_ & ~t, np.maximum(mid + 1.0, np.nextafter(mid, np.inf)), lo)
         hi = np.where(open_ & t, mid, hi)
@@ -203,11 +204,13 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
 
     One ``_evolve`` block of 2R rows steps chain A in rows [0, R) and chain B
     in rows [R, 2R) over t = 0..k+horizon, each on its own innovations and
-    exogenous draws up to t = k and on the pair's shared ones after it.  Its
-    ``draw`` hook floors ``sigma_t Y_t`` up to t = k, then draws both halves
-    from the pair's coupled uniform.  An explosion reports the earliest step
-    past the limit, chain A's rows before B's.  Every step is elementwise per
-    replicate, so a replicate's row does not depend on the rows it runs with.
+    exogenous draws up to t = k and on the pair's shared ones after it.  The
+    kernel floors ``sigma_t Y_t`` up to t = k; its ``draw`` hook takes over
+    at t = k+1 and draws both halves from the pair's coupled uniform, so
+    only the first k+1 innovation columns are filled and transformed.  An
+    explosion reports the earliest step past the limit, chain A's rows
+    before B's.  Every step is elementwise per replicate, so a replicate's
+    row does not depend on the rows it runs with.
     """
     R = hi - lo
     iid = params.exogenous.kind == "iid"
@@ -225,20 +228,16 @@ def _coupled_chain_block(params: ModelParams, k: int, horizon: int, master_seed:
             if iid:
                 half[:, m: m + k] = u[:, off + i * k: off + (i + 1) * k]
                 half[:, m + k:] = u[:, off + 2 * k:]  # shared across the pair
-        out[:, k + 1: m] = 0.0  # the coupled steps' innovations, which no step reads
 
     merged = np.empty((R, horizon), dtype=bool)
 
-    def draw(t, sigma, y_t, x_t):
-        """X_t of both halves: floor(sigma_t Y_t) up to t = k, then the coupled draw."""
-        if t <= k:
-            np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
-        else:
-            j = t - k - 1
-            x_t[:R], x_t[R:], merged[:, j] = _scaled_coupled(params.innovation, sigma[:R],
-                                                             sigma[R:], uc[:, j])
+    def draw(t, sigma, x_t):
+        """X_t of both halves at a coupled step t > k."""
+        j = t - k - 1
+        x_t[:R], x_t[R:], merged[:, j] = _scaled_coupled(params.innovation, sigma[:R],
+                                                         sigma[R:], uc[:, j])
 
-    _evolve(params, k + horizon, 2 * R, uniforms, draw=draw)
+    _evolve(params, k + horizon, 2 * R, uniforms, draw=(k + 1, draw))
     return merged
 
 

@@ -355,6 +355,8 @@ class DistributionConstants:
     p_sup      supremum of the density.
     e_ln_plus  ``E max(ln Y, 0)``.
     var_ln_y   variance of ``ln Y``.
+
+    The first three come from one look at the mode (``compute_constants``).
     """
 
     gamma: float
@@ -373,48 +375,38 @@ def _quad(fn, lo, hi) -> float:
     return val
 
 
-def _slope_abs_integral(spec: InnovationSpec) -> float:
-    """``int_0^inf x |p'(x)| dx`` via closed segment sums on either side of the mode.
-
-    On a segment where p is monotone, ``int x p'(x) dx = [x p(x)] - deltaF``,
-    so only the mode of the density is needed.
-    """
-    pts = [0.0, spec.mode, math.inf]
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        fa = float(spec.cdf(a)) if a > 0 else 0.0
-        fb = float(spec.cdf(b)) if math.isfinite(b) else 1.0
-        xa = a * float(spec.density(a)) if a > 0 else 0.0
-        xb = b * float(spec.density(b)) if math.isfinite(b) else 0.0
-        total += abs((xb - xa) - (fb - fa))
-    return total
-
-
-def _sup_envelope_integral(spec: InnovationSpec) -> float:
-    """``gamma`` for a non-monotone density: grid envelope plus analytic tail."""
-    mode = spec.mode
-    xs = np.linspace(0.0, mode, ENVELOPE_GRID)
+def _sup_envelope_integral(spec: InnovationSpec, cdf_mode: float) -> float:
+    """``gamma`` for a non-monotone density: grid envelope up to the mode plus
+    the tail mass ``1 - F(mode)`` beyond it (``cdf_mode`` is ``F(mode)``)."""
+    xs = np.linspace(0.0, spec.mode, ENVELOPE_GRID)
     dens = spec.density(xs)
     envelope = np.maximum.accumulate(dens[::-1])[::-1]
     head = float(np.trapezoid(envelope, xs))
     # beyond the mode the density decreases, so the running supremum
     # equals the density itself and integrates to the tail mass
-    return head + (1.0 - float(spec.cdf(mode)))
+    return head + (1.0 - cdf_mode)
 
 
 @lru_cache(maxsize=None)
 def compute_constants(spec: InnovationSpec) -> DistributionConstants:
-    """Compute all density-derived constants of an innovation spec."""
+    """Compute all density-derived constants of an innovation spec.
+
+    gamma, big_gamma and p_sup come from one ``density`` and one ``cdf`` call
+    at the mode m.  p is monotone on either side of m, and there
+    ``int x p'(x) dx = [x p(x)] - deltaF``, so ``int x |p'(x)| dx`` is
+    ``|m p(m) - F(m)| + (m p(m) + 1 - F(m))``; the second term is also the
+    chi-square gamma.  The half-Cauchy gamma keeps the grid envelope, whose
+    value the committed outputs carry: its closed form is one ulp off it.
+    """
+    m = spec.mode
+    p_sup = float(spec.density(m))
     if spec.monotone_density:
-        gamma = 1.0
-        big_gamma = 1.0
+        gamma = big_gamma = 1.0
     else:
-        if isinstance(spec, ChiSquare):
-            m = spec.mode
-            gamma = m * float(spec.density(m)) + (1.0 - float(spec.cdf(m)))
-        else:
-            gamma = _sup_envelope_integral(spec)
-        big_gamma = 0.5 * (1.0 + _slope_abs_integral(spec))
+        f_m = float(spec.cdf(m))
+        tail = m * p_sup + (1.0 - f_m)
+        gamma = tail if isinstance(spec, ChiSquare) else _sup_envelope_integral(spec, f_m)
+        big_gamma = 0.5 * (1.0 + (abs(m * p_sup - f_m) + tail))
 
     e_ln_plus = _quad(lambda y: math.log(y) * float(spec.density(y)), 1.0, math.inf)
     m1 = _quad(lambda y: math.log(y) * float(spec.density(y)), 0.0, 1.0) + e_ln_plus
@@ -426,7 +418,7 @@ def compute_constants(spec: InnovationSpec) -> DistributionConstants:
     return DistributionConstants(
         gamma=gamma,
         big_gamma=big_gamma,
-        p_sup=float(spec.density(spec.mode)),
+        p_sup=p_sup,
         e_ln_plus=e_ln_plus,
         var_ln_y=var_ln_y,
     )

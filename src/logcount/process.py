@@ -90,7 +90,8 @@ TREND = ExogenousSpec(kind="trend")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Recursion coefficients, innovation law and initial intensity."""
+    """Recursion coefficients, innovation law and initial intensity; an iid
+    exogenous term replaces the trend, so beside one the trend's ``c`` is 0."""
 
     a: float
     b: float
@@ -106,6 +107,8 @@ class ModelParams:
             raise ConfigError(f"coefficient b must be >= 0, got {self.b}")
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ConfigError(f"trend coefficient c must be >= 0, got {self.c}")
+        if self.exogenous.kind == "iid" and self.c != 0:  # nothing would read it
+            raise ConfigError(f"trend coefficient c must be 0 beside an iid term, got {self.c}")
         if not (self.sigma0 >= 1 and math.isfinite(self.sigma0)):
             raise ConfigError(f"initial intensity sigma0 must be >= 1, got {self.sigma0}")
 
@@ -186,11 +189,14 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None, draw=
     t, and for the iid kind columns n+1.. the n exogenous draws, column n+t
     consumed at step t.
 
-    ``draw(t, sigma, y_t, x_t)``, passed only by the pair experiment of
-    ``coupling``, replaces ``X_t = floor(sigma_t Y_t)`` in row ``x_t`` at
-    each step t >= 1; the innovation columns of its coupled steps, which no
-    step reads, hold 0.0.  Such a block steps rows at R = 1 too and stops at
-    the first step past LOG_SIGMA_LIMIT, so no ``draw`` sees an exploded scale.
+    ``draw = (start, fn)``, passed only by the pair experiment of
+    ``coupling``, hands the steps from ``start`` on to ``fn(t, sigma, x_t)``,
+    which writes X_t in row ``x_t`` in place of ``floor(sigma_t Y_t)``.  The
+    kernel floors steps 0..start-1 itself and turns only their innovation
+    columns into ``ys``: ``uniforms`` need not fill columns start..n, and
+    rows start..n of ``ys`` are left unwritten.  Such a block steps rows at
+    R = 1 too and stops at the first step past LOG_SIGMA_LIMIT, so ``fn``
+    never sees an exploded scale.
 
     Every matrix of the block lives in ``workspace`` (from ``_workspace``, or
     a new one), in (n+1, R) slots stored time-major: row t of a slot holds
@@ -228,8 +234,9 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None, draw=
     # neither the innovations nor the exogenous terms depend on the recursion
     u = ws[:R * width].reshape(R, width)
     uniforms(u)
+    start, fn = (m, None) if draw is None else draw
     y = slot[-1]
-    _quantile_rows(params.innovation.quantile, u[:, :m].T, y)
+    _quantile_rows(params.innovation.quantile, u[:, :start].T, y[:start])
     if iid:
         c = slot[2]
         c[0] = 0.0
@@ -266,12 +273,12 @@ def _evolve(params: ModelParams, n: int, R: int, uniforms, workspace=None, draw=
                 np.add(ls, lx, out=ls)
                 np.add(ls, c_t, out=ls)
                 np.exp(ls, out=sigma)
-                if draw is None:
-                    np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
-                elif _past_limit(ls):  # the check below reports it
+                if fn is not None and _past_limit(ls):  # the check below reports it
                     break
+                if t < start:
+                    np.floor(np.multiply(sigma, y_t, out=x_t), out=x_t)
                 else:
-                    draw(t, sigma, y_t, x_t)
+                    fn(t, sigma, x_t)
     body = log_sig[1:]
     if _past_limit(body):
         bad = np.abs(body) > LOG_SIGMA_LIMIT

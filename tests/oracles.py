@@ -10,7 +10,10 @@ No program path calls them; they live here, beside the tests, and not in
   the scalar reference of ``estimation.nn_means``,
 * ``density_slope``, the derivative ``p'(y)`` of the chi-square and
   half-Cauchy densities, which ``compute_constants`` integrates in closed
-  form, and
+  form,
+* ``slope_abs_integral``, that closed form as a sum over the two monotone
+  segments on either side of the mode, the reference of the big_gamma that
+  ``compute_constants`` takes from one look at the mode, and
 * ``loglog_sum_check``, the sum ``sum_t ln(t+h) ln(t)`` against its leading
   term ``n ln(n)^2``, which the trend weights rest on, and
 * ``fmt``, the text of one CSV cell, the scalar reference of
@@ -136,6 +139,22 @@ def density_slope(spec, y):
         (yy - m) / ((yy - m) ** 2 + s * s) ** 2 + (yy + m) / ((yy + m) ** 2 + s * s) ** 2
     )
     return np.where(y >= 0, val, 0.0)
+
+
+def slope_abs_integral(spec) -> float:
+    """``int_0^inf x |p'(x)| dx`` as closed segment sums on either side of the mode.
+
+    On a segment where p is monotone, ``int x p'(x) dx = [x p(x)] - deltaF``.
+    """
+    pts = [0.0, spec.mode, math.inf]
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        fa = float(spec.cdf(a)) if a > 0 else 0.0
+        fb = float(spec.cdf(b)) if math.isfinite(b) else 1.0
+        xa = a * float(spec.density(a)) if a > 0 else 0.0
+        xb = b * float(spec.density(b)) if math.isfinite(b) else 0.0
+        total += abs((xb - xa) - (fb - fa))
+    return total
 
 
 def loglog_sum_check(n: int, h: int) -> tuple[float, float, float]:

@@ -108,6 +108,55 @@ def test_mixing_explosion_exits_4_with_one_message_at_any_worker_count(tmp_path,
     assert "exploded at t=271" in messages[0]
 
 
+@pytest.mark.parametrize("command,config", [
+    # 1100 replicates end a span part way through its second 512-row block at
+    # --threads 2; each block is stepped and fitted on its own
+    ("mc-boxplot", {"model": MODEL, "n": [60, 200], "replicates": 1100,
+                    "theta_bar_loops": 1100}),
+    # both chains of each pair, iid exogenous draws included, step as the two
+    # halves of one block; 1100 pairs make two spans at --threads 2
+    ("mixing", {"model": {**MODEL, "a": 0.3, "b": 0.3, "c": 0,
+                          "exogenous": {"kind": "iid", "family": "normal", "mean": 0.5,
+                                        "sd": 0.3}},
+                "k": 5, "n_max": 5, "R": 5, "replicates": 1100}),
+], ids=["mc-boxplot", "mixing-iid"])
+def test_output_bytes_do_not_depend_on_the_worker_count(tmp_path, command, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"out{threads}.csv")
+        assert cli.main([command, "--config", str(cfg), "--threads", threads, "--out", out]) == 0
+    assert (tmp_path / "out1.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
+
+
+def test_ci_on_a_constant_series_writes_u_star_zero(tmp_path):
+    # every draw ties at 0, so ci replays every block of normals forward
+    (tmp_path / "constant.csv").write_text("5\n" * 60)
+    config = {"data": str(tmp_path / "constant.csv"),
+              "bootstrap": {"l_n": 2, "N_n": 5, "B": 200, "alpha": 0.1}}
+    with pytest.warns(UserWarning, match="centering bias may dominate"):
+        code, text = run(tmp_path, "ci", config)
+    assert code == 0
+    assert json.loads(text)["result"]["u_star"] == 0.0
+
+
+def test_coverage_writes_one_row_per_family_cell_and_alpha(tmp_path):
+    # the loops stop drawing once their verdicts are fixed, and every
+    # (family, cell, alpha) still gets its row
+    code, text = run(tmp_path, "coverage", {
+        "a": 0.1, "b": 0.1, "c": 2,
+        "innovations": [{"family": "exponential"},
+                        {"family": "half_cauchy", "location": 0, "scale": 1}],
+        "n": 120, "cells": [[8, 20], [3, 10]], "alphas": [0.1, 0.05], "mc_loops": 20, "B": 200,
+        "theta_bar_loops": 256})
+    assert code == 0
+    columns, rows = table(text)
+    keys = [tuple(dict(zip(columns, r))[c] for c in ("family", "l_n", "N_n", "alpha"))
+            for r in rows]
+    assert sorted(keys) == sorted((f, c[0], c[1], a) for f in ("exponential", "half_cauchy")
+                                  for c in (("8", "20"), ("3", "10")) for a in ("0.1", "0.05"))
+
+
 def test_column_formatter_follows_fmt():
     floats = [0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), float("inf"),
               float("-inf"), float("nan"), 5e-324, 1e16, 1e15 + 0.5, 0.1, -2.5, 1 / 3, 7.0]
@@ -285,6 +334,9 @@ def files(tmp_path_factory):
                                                            "half_width": 1}}, "n": 5}, 2),
     ("simulate", {"model": {**MODEL, "c": 0, "exogenous": {"kind": "iid", "family": "uniform",
                                                            "sd": 1}}, "n": 5}, 2),
+    # an iid exogenous term replaces the trend, so no step reads a c beside it
+    ("simulate", {"model": {**MODEL, "exogenous": {"kind": "iid", "family": "normal",
+                                                   "mean": 0.5, "sd": 0.3}}, "n": 5}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
@@ -402,12 +454,17 @@ def one_key_mixed(valid, mixed, optional=None):
 
 VALID_INNOVATIONS = [{"family": "exponential"}, {"family": "chi_square", "df": 3},
                      {"family": "half_cauchy", "location": 0, "scale": 1}]
-VALID_MODELS = st.fixed_dictionaries(
-    {"a": st.sampled_from([0.1, 0.3]), "b": st.sampled_from([0.1, 0.3]),
-     "c": st.sampled_from([0, 2]), "innovation": st.sampled_from(VALID_INNOVATIONS)},
-    optional={"sigma0": st.sampled_from([1, 2]), "exogenous": st.sampled_from([
-        {"kind": "trend"}, {"kind": "iid", "family": "normal", "mean": 0.5, "sd": 0.3},
-        {"kind": "iid", "family": "uniform", "mean": 0, "half_width": 0.2}])})
+VALID_MODEL_KEYS = {"a": st.sampled_from([0.1, 0.3]), "b": st.sampled_from([0.1, 0.3]),
+                    "innovation": st.sampled_from(VALID_INNOVATIONS)}
+VALID_SIGMA0 = {"sigma0": st.sampled_from([1, 2])}
+VALID_MODELS = st.one_of(
+    st.fixed_dictionaries({**VALID_MODEL_KEYS, "c": st.sampled_from([0, 2])},
+                          optional={**VALID_SIGMA0, "exogenous": st.just({"kind": "trend"})}),
+    # an iid exogenous term replaces the trend, so c is 0 beside it
+    st.fixed_dictionaries({**VALID_MODEL_KEYS, "c": st.just(0), "exogenous": st.sampled_from([
+        {"kind": "iid", "family": "normal", "mean": 0.5, "sd": 0.3},
+        {"kind": "iid", "family": "uniform", "mean": 0, "half_width": 0.2}])},
+        optional=VALID_SIGMA0))
 VALID_SEEDS = {"seed": st.sampled_from([0, 3])}
 SEEDS = {"seed": pool(0, 3)}
 

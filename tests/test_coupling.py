@@ -255,6 +255,21 @@ def test_first_true_terminates_above_2_pow_53():
     assert np.array_equal(_first_true(lo, hi, pred), first)
 
 
+def test_first_true_terminates_near_the_largest_double():
+    # lo + hi overflows to inf here; the midpoint must not
+    lo, hi = np.array([1e308, 1e308]), np.array([1.7e308, 1.7e308])
+    first = np.array([1.5e308, 1.7e308])
+    calls = []
+
+    def pred(k):
+        calls.append(1)
+        assert len(calls) < 200, "bisection does not terminate"
+        assert np.all(np.isfinite(k))
+        return k >= first
+
+    assert np.array_equal(_first_true(lo, hi, pred), first)
+
+
 def test_stacked_first_true_equals_two_searches():
     # _scaled_coupled runs both residual searches as one bisection over the
     # stacked brackets; each row must end where its own search ends, however

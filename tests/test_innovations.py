@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 import logcount as lc
 from logcount.errors import ConfigError
 from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sums
-from oracles import density_slope, half_cauchy_quantile, head_sum, support_bound
+from oracles import (density_slope, half_cauchy_quantile, head_sum, slope_abs_integral,
+                     support_bound)
 
 EXP = lc.Exponential(1.0)
 HN_UNIT = lc.HalfNormal(math.sqrt(math.pi / 2.0))  # E[Y] = scale * sqrt(2/pi) = 1
@@ -373,6 +374,25 @@ def test_big_gamma_matches_quadrature_oracle(spec):
     tail, _ = integrate.quad(lambda x: x * abs(float(density_slope(spec, x))), edges[-1], np.inf, limit=400)
     val += tail
     assert lc.compute_constants(spec).big_gamma == pytest.approx((1 + val) / 2, abs=1e-6)
+
+
+# chi-square df from just above 2, where the mode leaves the origin, to 1e4;
+# half-Cauchy location/scale from just above 1/sqrt(3), where it does, to 1e3
+HC_RATIOS = np.concatenate((np.geomspace(1e-12, 1e-2, 30) + 1.0,
+                            np.geomspace(1.02, 1e3 * math.sqrt(3.0), 50))) / math.sqrt(3.0)
+NON_MONOTONE = ([lc.ChiSquare(2.0 + d) for d in np.geomspace(1e-9, 1e4 - 2.0, 200)]
+                + [lc.HalfCauchy(r * s, s) for s in (0.25, 1.0, 7.0) for r in HC_RATIOS])
+
+
+def test_big_gamma_keeps_the_bits_of_the_segment_sum(monkeypatch):
+    # the ln-moment quadratures do not enter big_gamma, and they raise
+    # NumericError at df 2000 and at HC(1000, 1), so a stand-in replaces them;
+    # the unwrapped function leaves the cache as it was
+    monkeypatch.setattr(lc.innovations, "_quad", lambda fn, lo, hi: 0.25)
+    for spec in NON_MONOTONE:
+        assert not spec.monotone_density
+        want = 0.5 * (1.0 + slope_abs_integral(spec))
+        assert lc.compute_constants.__wrapped__(spec).big_gamma == want, spec
 
 
 def test_gamma_one_iff_monotone():
