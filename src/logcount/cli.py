@@ -65,7 +65,7 @@ def _load_config(path: Optional[str]) -> dict:
 def _require_keys(cfg: dict, required: set[str], optional: set[str], where: str):
     keys = set(cfg)
     missing = required - keys
-    unknown = keys - required - optional - {"schema", "seed"}
+    unknown = keys - required - optional
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     if unknown:
@@ -449,7 +449,7 @@ def _run(args) -> None:
     """Load and check the config, derive the seed, run the command, write its result."""
     fn, required, optional = _COMMANDS[args.command]
     cfg = _load_config(args.config)
-    _require_keys(cfg, required, optional, f"{args.command} config")
+    _require_keys(cfg, required, optional | {"schema", "seed"}, f"{args.command} config")
     seed = _seed_of(args, cfg)
     out = fn(cfg, seed, args.threads)
     if isinstance(out, dict):

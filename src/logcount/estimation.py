@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError
 from .process import ModelParams, _workspace, simulate_replicate_block, validate
-from .innovations import DistributionConstants
 
 # Default number of replicate fits that estimate the projection target.
 THETA_BAR_LOOPS = 20_000
@@ -88,11 +86,9 @@ def trend_weights(n: int) -> np.ndarray:
     return math.sqrt(n) * math.log(n) * logt / denom
 
 
-def asymptotic_sigma2(params: ModelParams,
-                      constants: Optional[DistributionConstants] = None) -> float:
+def asymptotic_sigma2(params: ModelParams) -> float:
     """Limit variance of the trend statistic: Var(ln Y) (1-a)^2 / (1-a-b)^2."""
-    k = constants if constants is not None else validate(params)
-    return k.var_ln_y * (1.0 - params.a) ** 2 / (1.0 - (params.a + params.b)) ** 2
+    return validate(params).var_ln_y * (1.0 - params.a) ** 2 / (1.0 - (params.a + params.b)) ** 2
 
 
 def nn_means(transformed: np.ndarray, window: int) -> np.ndarray:

@@ -227,22 +227,13 @@ class HalfCauchy(_Family):
         if m == 0.0:
             return np.where(u < 1.0, s * np.tan(math.pi * u / 2.0), np.inf)
         # cot(pi u) from the nearer end of (0, 1) and the root without
-        # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf).
-        # Each branch fills its entries of one array in place; -(1/t) and
-        # -1/t round alike, so the bits are those of the two-branch select
+        # cancellation; u = 0 gives cot = inf (y = 0), u = 1 gives -inf (y = inf)
         c = m * m + s * s
-        upper = u > 0.5
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_cot = np.subtract(1.0, u, out=u.copy(), where=upper)
-            s_cot *= math.pi
-            np.divide(1.0, np.tan(s_cot, out=s_cot), out=s_cot)
-            np.negative(s_cot, out=s_cot, where=upper)
-            s_cot *= s
-            r = np.hypot(s_cot, math.sqrt(c), out=np.empty_like(s_cot))  # an array at 0-d too
-            pos = s_cot > 0
-            np.subtract(r, s_cot, out=r, where=~pos)
-            np.add(s_cot, r, out=r, where=pos)
-            return np.divide(c, r, out=r, where=pos)
+            s_cot = s * np.where(u > 0.5, -1.0 / np.tan(math.pi * (1.0 - u)),
+                                 1.0 / np.tan(math.pi * u))
+            r = np.hypot(s_cot, math.sqrt(c))
+            return np.where(s_cot > 0, c / (s_cot + r), r - s_cot)
 
     def crossing(self, s_lo, s_hi):
         # With z = y^2, L = s_lo^2, H = s_hi^2, the scaled densities are equal

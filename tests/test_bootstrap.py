@@ -468,8 +468,7 @@ def test_t_star_variance_equals_dense_quadratic_form():
 
 def test_conditional_variance_tracks_asymptotic_sigma2():
     # average exact bootstrap variance over replicates against the limit
-    consts = lc.validate(PARAMS)
-    target = lc.asymptotic_sigma2(PARAMS, consts)
+    target = lc.asymptotic_sigma2(PARAMS)
     cfg = lc.BootstrapConfig(l_n=30, N_n=80, B=10, alpha=0.1)
     vals = []
     for seed in range(12):

@@ -337,6 +337,10 @@ def files(tmp_path_factory):
     # an iid exogenous term replaces the trend, so no step reads a c beside it
     ("simulate", {"model": {**MODEL, "exogenous": {"kind": "iid", "family": "normal",
                                                    "mean": 0.5, "sd": 0.3}}, "n": 5}, 2),
+    # only the top level reads a seed and a schema
+    ("simulate", {"model": {**MODEL, "seed": 9, "schema": "x"}, "n": 5}, 2),
+    ("simulate", {"model": {**MODEL, "seed": 9}, "n": 5}, 2),
+    ("ci", {"data": "{dir}/counts.csv", "bootstrap": {**BOOTSTRAP, "seed": 7}}, 2),
 ])
 def test_malformed_config_values_keep_documented_exit_codes(files, command, config, code):
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
@@ -350,11 +354,19 @@ def test_malformed_config_values_keep_documented_exit_codes(files, command, conf
                   "n": 60, "cells": [[2, 5]], "alphas": [0.1], "mc_loops": 3, "B": 10**30,
                   "theta_bar_loops": 16}),
 ])
-def test_b_no_array_can_hold_exits_2_at_once(files, capsys, command, config):
+def test_b_no_array_can_hold_exits_2_at_once(files, command, config):
+    # through the console script's sys.exit(main()), in a process that must end
+    # within 60 s, so a run that draws block after block fails rather than hangs
     text = json.dumps(config).replace("{dir}", json.dumps(str(files))[1:-1])
     (files / "config.json").write_text(text)
-    assert cli.main([command, "--config", str(files / "config.json")]) == 2
-    assert "config error" in capsys.readouterr().err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from logcount.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", code, command, "--config",
+                          str(files / "config.json")],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "config error" in out.stderr
 
 
 def test_ci_b_no_memory_can_hold_exits_2(files, capsys):
