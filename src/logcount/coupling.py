@@ -27,8 +27,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigError
 from .innovations import _crossing_index, _discrete_quantile
-from .process import (ModelParams, _check_shape, _evolve, _theorem1_brace, theorem1_bound,
-                      validate)
+from .process import (ModelParams, _check_shape, _contraction, _evolve, _theorem1_brace,
+                      theorem1_bound, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def estimate_beta(params: ModelParams, k: int, n_grid, truncation: int,
     bound = np.array([theorem1_bound(params, int(n), consts) for n in n_grid])
     # mass of divergence events beyond the window, from the geometric decay
     # of the post-merge log-scale gap: factor a per silent step
-    contraction = params.a + params.b * consts.gamma
+    contraction = _contraction(params, consts)
     tail_factor = params.a ** (truncation + 1) / (1.0 - params.a) if params.a > 0 else 0.0
     brace = _theorem1_brace(params, consts)
     trunc = consts.big_gamma * tail_factor * brace * contraction ** n_grid.astype(float)

@@ -6,7 +6,9 @@ family of count laws is nearly scale invariant: mean and standard deviation
 of ``X`` grow at the same rate in ``sigma``.  This module provides
 
 * the four built-in innovation families (exponential, half-normal,
-  half-Cauchy, chi-square) with density, CDF and quantile function,
+  half-Cauchy, chi-square) with density, CDF and quantile function; their
+  shared base applies the support rule ``Y >= 0`` once, and each family
+  states only its formulas on ``y >= 0``,
 * the discretized law of ``floor(sigma * Y)`` with pmf/CDF/quantile,
 * the crossing index of two scalings, where the difference of their pmfs
   changes sign; the coupling uses it, and so does the total variation
@@ -40,10 +42,6 @@ HEAD_BLOCK = 2**14
 NEAR_GAP = 1e-2
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _masked(keep, val, fill):
     """``np.where(keep, val, fill)`` for a freshly computed ``val``: filled in
     place with ``np.copyto``, which saves a second array and the select, and
@@ -61,7 +59,7 @@ def _log_ratio_factor(s_lo, s_hi):
     stays accurate as r goes to 1.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = (_as_float_array(s_hi) - s_lo) / s_lo
+        x = (np.asarray(s_hi, dtype=float) - s_lo) / s_lo
         return np.where(x > 0, np.log1p(x) / x, 1.0)
 
 
@@ -71,6 +69,11 @@ def _log_ratio_factor(s_lo, s_hi):
 
 class _Family:
     """Shape shared by the families: ``mode`` is 0 for a non-increasing density.
+
+    The base owns the support rule ``Y >= 0`` (density 0 below 0, cdf 0 and sf
+    1 at or below 0, NaN filled alike): each family defines ``_density``,
+    ``_cdf`` and ``_sf`` on ``max(y, 0)``, each returning a new array that the
+    base fills in place, and ``_quantile`` on a float array.
 
     Each family also has ``crossing(s_lo, s_hi)``: the point ``y*`` where the
     scaled densities ``p(y/s_lo)/s_lo`` and ``p(y/s_hi)/s_hi`` cross, for
@@ -85,6 +88,21 @@ class _Family:
     def monotone_density(self) -> bool:
         return self.mode == 0.0
 
+    def density(self, y):
+        y = np.asarray(y, dtype=float)
+        return _masked(y >= 0, self._density(np.maximum(y, 0.0)), 0.0)
+
+    def cdf(self, y):
+        y = np.asarray(y, dtype=float)
+        return _masked(y > 0, self._cdf(np.maximum(y, 0.0)), 0.0)
+
+    def sf(self, y):
+        y = np.asarray(y, dtype=float)
+        return _masked(y > 0, self._sf(np.maximum(y, 0.0)), 1.0)
+
+    def quantile(self, u):
+        return self._quantile(np.asarray(u, dtype=float))
+
 
 @dataclass(frozen=True)
 class Exponential(_Family):
@@ -97,20 +115,16 @@ class Exponential(_Family):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError(f"exponential rate must be positive, got {self.rate}")
 
-    def density(self, y):
-        y = _as_float_array(y)
-        return _masked(y >= 0, self.rate * np.exp(-self.rate * np.maximum(y, 0.0)), 0.0)
+    def _density(self, y):
+        return self.rate * np.exp(-self.rate * y)
 
-    def cdf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, -np.expm1(-self.rate * np.maximum(y, 0.0)), 0.0)
+    def _cdf(self, y):
+        return -np.expm1(-self.rate * y)
 
-    def sf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, np.exp(-self.rate * np.maximum(y, 0.0)), 1.0)
+    def _sf(self, y):
+        return np.exp(-self.rate * y)
 
-    def quantile(self, u):
-        u = _as_float_array(u)
+    def _quantile(self, u):
         with np.errstate(divide="ignore"):  # u = 1 gives inf
             return -np.log1p(-u) / self.rate
 
@@ -130,22 +144,17 @@ class HalfNormal(_Family):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ConfigError(f"half-normal scale must be positive, got {self.scale}")
 
-    def density(self, y):
-        y = _as_float_array(y)
+    def _density(self, y):
         nu = self.scale
-        val = math.sqrt(2.0 / math.pi) / nu * np.exp(-np.square(np.maximum(y, 0.0)) / (2 * nu * nu))
-        return _masked(y >= 0, val, 0.0)
+        return math.sqrt(2.0 / math.pi) / nu * np.exp(-np.square(y) / (2 * nu * nu))
 
-    def cdf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, special.erf(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 0.0)
+    def _cdf(self, y):
+        return special.erf(y / (self.scale * math.sqrt(2.0)))
 
-    def sf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, special.erfc(np.maximum(y, 0.0) / (self.scale * math.sqrt(2.0))), 1.0)
+    def _sf(self, y):
+        return special.erfc(y / (self.scale * math.sqrt(2.0)))
 
-    def quantile(self, u):
-        u = _as_float_array(u)
+    def _quantile(self, u):
         return self.scale * math.sqrt(2.0) * special.erfinv(u)
 
     def crossing(self, s_lo, s_hi):
@@ -195,34 +204,26 @@ class HalfCauchy(_Family):
         c = m * m + s * s
         return math.sqrt(max(2.0 * m * math.sqrt(c) - c, 0.0))
 
-    def density(self, y):
-        y = _as_float_array(y)
+    def _density(self, y):
         m, s = abs(self.location), self.scale
-        yy = np.maximum(y, 0.0)
-        val = (s / math.pi) * _mirror_sum(lambda z: 1.0 / (z ** 2 + s * s), yy, m)
-        return _masked(y >= 0, val, 0.0)
+        return (s / math.pi) * _mirror_sum(lambda z: 1.0 / (z ** 2 + s * s), y, m)
 
-    def cdf(self, y):
-        y = _as_float_array(y)
+    def _cdf(self, y):
         m, s = abs(self.location), self.scale
-        yy = np.maximum(y, 0.0)
-        val = _mirror_sum(lambda z: np.arctan(z / s), yy, m) / math.pi
-        return _masked(y > 0, val, 0.0)
+        return _mirror_sum(lambda z: np.arctan(z / s), y, m) / math.pi
 
-    def sf(self, y):
+    def _sf(self, y):
         # arctan(z) + arctan(1/z) = pi/2 for z > 0 gives a cancellation-free
         # tail: sf(y) = (arctan(s/(y-m)) + arctan(s/(y+m))) / pi for y > m
-        y = _as_float_array(y)
         m, s = abs(self.location), self.scale
-        yy = np.maximum(y, m + s)
         tail = y > m + s
-        out = _masked(tail, _mirror_sum(lambda z: np.arctan(s / z), yy, m) / math.pi, 1.0)
-        if not tail.all():  # y <= m + s and NaN take the cdf
-            out[~tail] = 1.0 - self.cdf(y[~tail])
+        # an array even for 0-d y, whose ufunc results are numpy scalars
+        out = np.asarray(_mirror_sum(lambda z: np.arctan(s / z), np.maximum(y, m + s), m) / math.pi)
+        if not tail.all():  # y <= m + s and NaN take the cdf, on that subset only
+            out[~tail] = 1.0 - self._cdf(y[~tail])
         return out
 
-    def quantile(self, u):
-        u = _as_float_array(u)
+    def _quantile(self, u):
         m, s = abs(self.location), self.scale
         if m == 0.0:
             return np.where(u < 1.0, s * np.tan(math.pi * u / 2.0), np.inf)
@@ -267,29 +268,23 @@ class ChiSquare(_Family):
     def mode(self) -> float:
         return max(self.df - 2.0, 0.0)
 
-    def density(self, y):
-        y = _as_float_array(y)
+    def _density(self, y):
+        # the log term (half - 1) ln y is +-0 at df = 2 and is left out there,
+        # so that y = 0 gives exp(-ln 2) = 0.5, not exp(0 * -inf); above
+        # df = 2, y = inf makes inf - inf, and the density's limit there is 0
         half = self.df / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (half - 1.0) * np.log(np.maximum(y, 0.0)) - np.maximum(y, 0.0) / 2.0
+            logpdf = -y / 2.0 if half == 1.0 else (half - 1.0) * np.log(y) - y / 2.0
             logpdf -= half * math.log(2.0) + special.gammaln(half)
-            val = np.exp(logpdf)
-        if self.df == 2:
-            val = _masked(y != 0, val, 0.5)
-        else:
-            val = _masked(y != 0, val, 0.0)
-        return _masked(y >= 0, val, 0.0)
+            return np.where(y < np.inf, np.exp(logpdf), 0.0)
 
-    def cdf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, special.gammainc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 0.0)
+    def _cdf(self, y):
+        return special.gammainc(self.df / 2.0, y / 2.0)
 
-    def sf(self, y):
-        y = _as_float_array(y)
-        return _masked(y > 0, special.gammaincc(self.df / 2.0, np.maximum(y, 0.0) / 2.0), 1.0)
+    def _sf(self, y):
+        return special.gammaincc(self.df / 2.0, y / 2.0)
 
-    def quantile(self, u):
-        u = _as_float_array(u)
+    def _quantile(self, u):
         return 2.0 * special.gammaincinv(self.df / 2.0, u)
 
     def crossing(self, s_lo, s_hi):
@@ -358,12 +353,45 @@ class DistributionConstants:
 
 
 def _quad(fn, lo, hi) -> float:
-    val, err = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-    if not math.isfinite(val) or err > 1e-6:
-        raise NumericError(
-            f"quadrature failed on [{lo}, {hi}]: value={val!r}, abserr={err!r}"
-        )
+    """``quad`` of fn on [lo, hi]; NumericError where quad reports trouble (its
+    IntegrationWarning, returned here as a message), where the value is not
+    finite or where the error estimate passes 1e-6."""
+    val, err, _, *trouble = integrate.quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400,
+                                           full_output=1)
+    if trouble or not math.isfinite(val) or err > 1e-6:
+        raise NumericError(f"quadrature failed on [{lo}, {hi}]: value={val!r}, abserr={err!r}"
+                           + "".join(f"; {msg}" for msg in trouble))
     return val
+
+
+def _ln_moments(spec: InnovationSpec, cuts, centered: bool) -> tuple[float, float]:
+    """``(E max(ln Y, 0), Var ln Y)`` from ``_quad`` on ``[0, inf)`` cut at
+    ``cuts`` (ascending, 1 among them).
+
+    The density's mass on the same pieces must be 1 within 1e-8.  The variance
+    is ``E ln^2 Y - (E ln Y)^2``, or with ``centered`` the integral of
+    ``(ln y - E ln Y)^2 p(y)``, which loses no digits to cancellation where
+    ``ln Y`` has a small spread about a large mean.  NumericError if a
+    quadrature fails, the mass is off or the variance is not positive.
+    """
+    edges = [0.0, *cuts, math.inf]
+    pieces = list(zip(edges[:-1], edges[1:]))
+
+    def integral(fn, over):
+        return sum(_quad(lambda y: fn(y) * float(spec.density(y)), lo, hi) for lo, hi in over)
+
+    mass = integral(lambda y: 1.0, pieces)
+    if not abs(mass - 1.0) <= 1e-8:
+        raise NumericError(f"the density's mass came out as {mass!r}")
+    e_ln_plus = integral(math.log, [(lo, hi) for lo, hi in pieces if lo >= 1.0])
+    m1 = integral(math.log, [(lo, hi) for lo, hi in pieces if hi <= 1.0]) + e_ln_plus
+    if centered:
+        var_ln_y = integral(lambda y: (math.log(y) - m1) ** 2, pieces)
+    else:
+        var_ln_y = integral(lambda y: math.log(y) ** 2, pieces) - m1 * m1
+    if var_ln_y <= 0 or not math.isfinite(var_ln_y):
+        raise NumericError(f"variance of ln(Y) came out as {var_ln_y!r}")
+    return e_ln_plus, var_ln_y
 
 
 def _sup_envelope_integral(spec: InnovationSpec, cdf_mode: float) -> float:
@@ -399,13 +427,13 @@ def compute_constants(spec: InnovationSpec) -> DistributionConstants:
         gamma = tail if isinstance(spec, ChiSquare) else _sup_envelope_integral(spec, f_m)
         big_gamma = 0.5 * (1.0 + (abs(m * p_sup - f_m) + tail))
 
-    e_ln_plus = _quad(lambda y: math.log(y) * float(spec.density(y)), 1.0, math.inf)
-    m1 = _quad(lambda y: math.log(y) * float(spec.density(y)), 0.0, 1.0) + e_ln_plus
-    m2 = _quad(lambda y: math.log(y) ** 2 * float(spec.density(y)), 0.0, 1.0) + \
-        _quad(lambda y: math.log(y) ** 2 * float(spec.density(y)), 1.0, math.inf)
-    var_ln_y = m2 - m1 * m1
-    if var_ln_y <= 0 or not math.isfinite(var_ln_y):
-        raise NumericError(f"variance of ln(Y) came out as {var_ln_y!r}")
+    # [0, 1] and [1, inf) first, whose values the committed outputs carry.  A
+    # peak far from 1 can slip past quad there; the mass check, quad's own
+    # diagnosis or the variance then fails, and the retry cuts at the mode too
+    try:
+        e_ln_plus, var_ln_y = _ln_moments(spec, [1.0], centered=False)
+    except NumericError:
+        e_ln_plus, var_ln_y = _ln_moments(spec, sorted({1.0, m} - {0.0}), centered=True)
     return DistributionConstants(
         gamma=gamma,
         big_gamma=big_gamma,
@@ -425,6 +453,8 @@ class DiscretizedLaw:
 
     At a tiny sigma, ``k / sigma`` overflows to inf, the intended quotient
     (``cdf`` 1, ``sf`` 0 there), so ``pmf``, ``cdf`` and ``sf`` do not warn.
+    ``cdf`` and ``sf`` read the innovation at ``(floor(k) + 1) / sigma``, which
+    is <= 0 for every k < 0, where its support rule gives 0 and 1.
     """
 
     base: InnovationSpec
@@ -435,23 +465,21 @@ class DiscretizedLaw:
             raise ConfigError(f"discretization scale must be positive, got {self.sigma}")
 
     def pmf(self, k):
-        k = _as_float_array(k)
+        k = np.asarray(k, dtype=float)
         with np.errstate(over="ignore"):
-            y_lo = np.maximum(k, 0.0) / self.sigma
-            y_hi = (np.maximum(k, 0.0) + 1.0) / self.sigma
+            y_lo = k / self.sigma
+            y_hi = (k + 1.0) / self.sigma
         return _masked(k >= 0, self.base.cdf(y_hi) - self.base.cdf(y_lo), 0.0)
 
     def cdf(self, k):
-        k = _as_float_array(k)
         with np.errstate(over="ignore"):
-            y = (np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma
-        return _masked(k >= 0, self.base.cdf(y), 0.0)
+            y = (np.floor(np.asarray(k, dtype=float)) + 1.0) / self.sigma
+        return self.base.cdf(y)
 
     def sf(self, k):
-        k = _as_float_array(k)
         with np.errstate(over="ignore"):
-            y = (np.floor(np.maximum(k, 0.0)) + 1.0) / self.sigma
-        return _masked(k >= 0, self.base.sf(y), 1.0)
+            y = (np.floor(np.asarray(k, dtype=float)) + 1.0) / self.sigma
+        return self.base.sf(y)
 
     def quantile(self, u):
         """Smallest k with CDF(k) >= u."""

@@ -121,13 +121,18 @@ class ModelParams:
 def validate(params: ModelParams) -> DistributionConstants:
     """Check the contraction condition and return the innovation constants."""
     consts = compute_constants(params.innovation)
-    contraction = params.a + params.b * consts.gamma
+    contraction = _contraction(params, consts)
     if not contraction < 1.0:
         raise ConfigError(
             "contraction condition violated: "
             f"a + b*gamma = {params.a} + {params.b}*{consts.gamma:.6f} = {contraction:.6f} >= 1"
         )
     return consts
+
+
+def _contraction(params: ModelParams, k: DistributionConstants) -> float:
+    """The Theorem-1 contraction ``a + b*gamma``; ``validate`` requires it below 1."""
+    return params.a + params.b * k.gamma
 
 
 @dataclass
@@ -335,7 +340,7 @@ def theorem1_bound(params: ModelParams, n: int,
             * { 2|ln sigma0| + (2b(p_sup + E ln+ Y) + 2M) / (1-a-b) }.
     """
     k = constants if constants is not None else validate(params)
-    lead = (params.a + params.b * k.gamma) ** n
+    lead = _contraction(params, k) ** n
     return lead * k.big_gamma / (1.0 - params.a) * _theorem1_brace(params, k)
 
 

@@ -10,11 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.optimize import brentq
 
 import logcount as lc
-from logcount.errors import ConfigError
+from logcount.errors import ConfigError, NumericError
 from logcount.innovations import HEAD_BLOCK, NEAR_GAP, _gap_mass, _head_sums
 from oracles import (density_slope, half_cauchy_quantile, head_sum, slope_abs_integral,
                      support_bound)
@@ -137,6 +137,45 @@ def test_quantile_endpoints_no_warnings(spec):
         q = np.asarray(spec.quantile(np.array([0.0, 1.0])))
         q0, q1 = float(spec.quantile(0.0)), float(spec.quantile(1.0))
     assert q[0] == q0 == 0.0 and q[1] == q1 == math.inf
+
+
+def _density_at_zero(spec):
+    if isinstance(spec, lc.Exponential):
+        return spec.rate
+    if isinstance(spec, lc.HalfNormal):
+        return math.sqrt(2.0 / math.pi) / spec.scale
+    if isinstance(spec, lc.HalfCauchy):
+        return 2.0 * spec.scale / (math.pi * (spec.location ** 2 + spec.scale ** 2))
+    return 0.5 if spec.df == 2 else 0.0
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [lc.ChiSquare(2), lc.ChiSquare(2.5), lc.ChiSquare(6)],
+                         ids=str)
+def test_support_rule_fills_and_limits(spec):
+    # Y >= 0: density 0 below 0, cdf 0 and sf 1 at or below 0, NaN filled
+    # the same way, and at +inf the limits 0, 1 and 0
+    ys = [-math.inf, -1.0, -0.0, 0.0, math.nan, math.inf]
+    p0 = _density_at_zero(spec)
+    want = {"density": [0.0, 0.0, p0, p0, 0.0, 0.0],
+            "cdf": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            "sf": [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, values in want.items():
+            method = getattr(spec, name)
+            np.testing.assert_allclose(method(np.array(ys)), values, rtol=1e-15, atol=0.0)
+            for y, value in zip(ys, values):
+                for arg in (y, np.float64(y), np.array(y)):
+                    got = method(arg)
+                    assert type(got) is np.ndarray and got.shape == (), (name, arg)
+                    np.testing.assert_allclose(got, value, rtol=1e-15, atol=0.0)
+        for sigma in (1e-300, 0.5, 3.0):
+            law = lc.DiscretizedLaw(spec, sigma)
+            ks = [-math.inf, -3.0, -0.5, math.nan]
+            assert law.cdf(np.array(ks)).tolist() == [0.0] * 4
+            assert law.sf(np.array(ks)).tolist() == [1.0] * 4
+            assert [float(law.cdf(k)) for k in ks] == [0.0] * 4
+            assert [float(law.sf(k)) for k in ks] == [1.0] * 4
 
 
 CROSSING_SPECS = [EXP, HN_UNIT, lc.ChiSquare(6), HC0, HC4]
@@ -352,6 +391,47 @@ def test_constants_chisquare3_analytic():
     assert c.p_sup == pytest.approx(p1, abs=1e-12)
 
 
+@pytest.mark.parametrize("df", [200, 1000, 2000])
+def test_ln_moments_of_a_peaked_chisquare(df):
+    # the peak sits near df, far from the cut at 1; E ln Y = psi(df/2) + ln 2
+    # and Var ln Y = psi'(df/2), and P(Y < 1) is below 1e-100 here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = lc.compute_constants(lc.ChiSquare(df))
+    assert c.e_ln_plus == pytest.approx(special.digamma(df / 2) + math.log(2.0), rel=1e-10, abs=0)
+    assert c.var_ln_y == pytest.approx(special.polygamma(1, df / 2), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("m", [245.4, 1000.0])
+def test_ln_moments_of_a_far_half_cauchy_match_mpmath(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = lc.compute_constants(lc.HalfCauchy(m, 1.0))
+    with mpmath.workdps(30):
+        mm = mpmath.mpf(m)
+        cuts = [0, 1, mm - 10, mm, mm + 10, mpmath.inf]
+        mean = mpmath.log(mm * mm + 1) / 2  # ln Y is symmetric about ln sqrt(m^2 + s^2)
+        e_ln_plus = mpmath.quad(lambda y: mpmath.log(y) * _mp_density(mm, 1, y), cuts[1:])
+        var = mpmath.quad(lambda y: (mpmath.log(y) - mean) ** 2 * _mp_density(mm, 1, y), cuts)
+    assert c.e_ln_plus == pytest.approx(float(e_ln_plus), rel=1e-10, abs=0)
+    assert c.var_ln_y == pytest.approx(float(var), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("spec, e_ln_plus, var_ln_y", [
+    (lc.HalfNormal(1e-4), 0.0, math.pi ** 2 / 8),
+    (lc.HalfCauchy(1e5, 1.0), 11.51292546508389, 3.141582653485074e-05),  # mpmath, 30 digits
+], ids=str)
+def test_ln_moments_raise_rather_than_come_out_wrong(spec, e_ln_plus, var_ln_y):
+    # both partitions miss these peaks; quad's own diagnosis counts as a
+    # failure, so they raise NumericError and never give wrong values
+    try:
+        c = lc.compute_constants(spec)
+    except NumericError:
+        return
+    assert c.e_ln_plus == pytest.approx(e_ln_plus, rel=1e-10, abs=1e-300)
+    assert c.var_ln_y == pytest.approx(var_ln_y, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("spec", [EXP, CHI3, HC4], ids=str)
 def test_gamma_matches_brute_force_envelope(spec):
     # brute force: running supremum on a fine grid, trapezoid quadrature
@@ -385,10 +465,10 @@ NON_MONOTONE = ([lc.ChiSquare(2.0 + d) for d in np.geomspace(1e-9, 1e4 - 2.0, 20
 
 
 def test_big_gamma_keeps_the_bits_of_the_segment_sum(monkeypatch):
-    # the ln-moment quadratures do not enter big_gamma, and they raise
-    # NumericError at df 2000 and at HC(1000, 1), so a stand-in replaces them;
-    # the unwrapped function leaves the cache as it was
-    monkeypatch.setattr(lc.innovations, "_quad", lambda fn, lo, hi: 0.25)
+    # the ln moments do not enter big_gamma, and their quadratures over these
+    # 440 shapes take seconds, so a stand-in replaces them; the unwrapped
+    # function leaves the cache as it was
+    monkeypatch.setattr(lc.innovations, "_ln_moments", lambda spec, cuts, centered: (0.0, 1.0))
     for spec in NON_MONOTONE:
         assert not spec.monotone_density
         want = 0.5 * (1.0 + slope_abs_integral(spec))
